@@ -51,9 +51,9 @@
 #include "graph/synthetic.hpp"
 #include "net/async_client.hpp"
 #include "net/chaos.hpp"
-#include "net/client.hpp"
 #include "net/resilient_client.hpp"
 #include "net/server.hpp"
+#include "raw_conn.hpp"
 #include "service/schedule_service.hpp"
 #include "tenant/tenant.hpp"
 #include "tenant/tenant_service.hpp"
@@ -81,8 +81,8 @@ struct LoadgenOptions {
   bool chaos_soak = false;
   /// Randomized chaos seeds in the flip phase of the soak.
   int chaos_seeds = 8;
-  /// Pipelined mode (--pipelined): protocol-v2 out-of-order throughput
-  /// phases instead of the mixed/fairness phases. Always self-hosted (the
+  /// Pipelined mode (--pipelined): out-of-order throughput phases
+  /// instead of the mixed/fairness phases. Always self-hosted (the
   /// loop-scaling phase restarts the server with different loop_threads).
   bool pipelined = false;
   /// Hit-path requests per measured pipelined burst.
@@ -170,7 +170,7 @@ struct DispatchSnapshot {
   std::vector<std::uint64_t> dispatched;
 };
 
-Expected<DispatchSnapshot> SnapshotDispatch(net::Client& client) {
+Expected<DispatchSnapshot> SnapshotDispatch(net::AsyncClient& client) {
   auto stats = client.Stats();
   if (!stats.ok()) return stats.status();
   DispatchSnapshot snap;
@@ -226,7 +226,7 @@ int Run(const LoadgenOptions& options) {
     std::printf("external server %s:%d\n", host.c_str(), port);
   }
 
-  auto connect = [&](net::Client& client) -> Status {
+  auto connect = [&](net::AsyncClient& client) -> Status {
     return client.Connect(host, port);
   };
 
@@ -244,7 +244,7 @@ int Run(const LoadgenOptions& options) {
     std::vector<std::thread> threads;
     for (int w = 0; w < seed_threads; ++w) {
       threads.emplace_back([&, w] {
-        net::Client client;
+        net::AsyncClient client;
         if (Status s = connect(client); !s.ok()) {
           collect.Fail("seed/connect", s);
           return;
@@ -279,7 +279,7 @@ int Run(const LoadgenOptions& options) {
       threads.emplace_back([&, w] {
         const std::string tenant = TenantName(w % options.tenants);
         Rng rng(0xF00D + static_cast<std::uint64_t>(w));
-        net::Client client;
+        net::AsyncClient client;
         if (Status s = connect(client); !s.ok()) {
           collect.Fail("mixed/connect", s);
           return;
@@ -328,7 +328,7 @@ int Run(const LoadgenOptions& options) {
   // deltas between `before` and the snapshot taken the moment the FIRST
   // tenant finishes (all lanes still saturated until then) measure each
   // tenant's achieved share of the solver.
-  net::Client stats_client;
+  net::AsyncClient stats_client;
   if (Status s = connect(stats_client); !s.ok()) {
     collect.Fail("fairness/connect", s);
     return 1;
@@ -352,7 +352,7 @@ int Run(const LoadgenOptions& options) {
       for (int c = 0; c < options.connections_per_tenant; ++c) {
         threads.emplace_back([&, t, c] {
           const std::string tenant = TenantName(t);
-          net::Client client;
+          net::AsyncClient client;
           if (Status s = connect(client); !s.ok()) {
             collect.Fail("fairness/connect", s);
             return;
@@ -673,7 +673,7 @@ int RunChaosSoak(const LoadgenOptions& options) {
 
     // Post-chaos health/stats round-trip against the restarted server,
     // bypassing the proxy.
-    net::Client direct;
+    net::AsyncClient direct;
     bool healthy = false;
     std::uint64_t protocol_errors = 0;
     if (direct.Connect(host, port).ok()) {
@@ -759,7 +759,7 @@ int RunChaosSoak(const LoadgenOptions& options) {
       client.Close();
       flipped += proxy.Stats().flipped_bytes;
       proxy.Stop();
-      net::Client direct;
+      net::AsyncClient direct;
       bool seed_healthy = false;
       if (direct.Connect(soak.server->host(), soak.server->port()).ok()) {
         auto health = direct.Health();
@@ -812,7 +812,7 @@ int RunChaosSoak(const LoadgenOptions& options) {
     std::vector<std::thread> flood;
     for (int t = 0; t < kFlood; ++t) {
       flood.emplace_back([&, t] {
-        net::Client client;
+        net::AsyncClient client;
         if (!client.Connect(soak.server->host(), soak.server->port()).ok()) {
           untyped_failures.fetch_add(1);
           return;
@@ -839,7 +839,7 @@ int RunChaosSoak(const LoadgenOptions& options) {
       });
     }
     for (auto& t : flood) t.join();
-    net::Client direct;
+    net::AsyncClient direct;
     if (direct.Connect(soak.server->host(), soak.server->port()).ok()) {
       if (auto stats = direct.Stats(); stats.ok()) {
         shed_wire = stats->shed_overload;
@@ -883,11 +883,13 @@ int RunChaosSoak(const LoadgenOptions& options) {
 
 // ---- Pipelined throughput ------------------------------------------------
 //
-// `--pipelined` replaces the mixed/fairness phases with protocol-v2
-// pipelining phases against a self-hosted server:
+// `--pipelined` replaces the mixed/fairness phases with pipelining
+// phases against a self-hosted server:
 //
-//   baseline   one blocking v1 client solves the (pre-seeded) hit path,
-//              one request per round trip — the synchronous floor;
+//   baseline   one thread sends a solve frame over a raw connection and
+//              reads its response before sending the next — one request
+//              per round trip, no reader thread: the synchronous floor on
+//              the (pre-seeded) hit path;
 //   windows    one AsyncClient repeats the same burst at in-flight
 //              windows 1, 8, and 64; window 1 doubles as the TCP_NODELAY
 //              canary (with Nagle + delayed ACK a small-frame ping-pong
@@ -897,13 +899,37 @@ int RunChaosSoak(const LoadgenOptions& options) {
 //              against loop_threads=1 and loop_threads=4 servers; the
 //              throughput ratio is recorded as-is (on a single-core host
 //              it is honestly ~1x — the record exists so multi-core CI
-//              shows real scaling, not to flatter this machine);
-//   interop    a v1 blocking client and a v2 pipelined client hammer the
-//              same server concurrently; the server must finish with
-//              zero protocol errors.
+//              shows real scaling, not to flatter this machine).
 //
 // The headline gate: window-64 pipelined throughput >= 3x the blocking
 // baseline on the same hit path.
+
+/// One blocking round trip: sends a solve frame and reads its response
+/// before returning, on the calling thread.
+Status RoundTripSolve(net::RawConn& conn, std::uint64_t request_id,
+                      const net::SolveRequestMsg& msg) {
+  const std::vector<std::uint8_t> frame =
+      net::EncodeFrame(net::MsgType::kSolve, net::EncodeBody(msg),
+                       net::kProtocolVersion2, request_id);
+  SS_RETURN_IF_ERROR(conn.SendBytes(frame.data(), frame.size()));
+  auto reply = conn.ReadFrame();
+  if (!reply.ok()) return reply.status();
+  if (reply->request_id != request_id) {
+    return InternalError("response for request " +
+                         std::to_string(reply->request_id) + ", wanted " +
+                         std::to_string(request_id));
+  }
+  if (reply->type == net::MsgType::kError) {
+    net::ErrorResponseMsg err;
+    SS_RETURN_IF_ERROR(
+        net::Decode(reply->body.data(), reply->body.size(), &err));
+    return net::StatusFromWireError(err.code, err.message);
+  }
+  net::SolveResponseMsg resp;
+  return reply->type == net::MsgType::kSolveOk
+             ? net::Decode(reply->body.data(), reply->body.size(), &resp)
+             : InternalError("unexpected response type");
+}
 
 /// One pipelined hit-path burst over a single AsyncClient.
 struct PipelinedRun {
@@ -1026,7 +1052,7 @@ int RunPipelined(const LoadgenOptions& options) {
   }
 
   auto seed_cache = [&](const std::string& host, int port) -> Status {
-    net::Client seeder;
+    net::AsyncClient seeder;
     if (Status s = seeder.Connect(host, port); !s.ok()) return s;
     for (int p = 0; p < kHitProblems; ++p) {
       auto resp = seeder.Solve(SolveMsg(TenantName(p % kTenants),
@@ -1042,8 +1068,6 @@ int RunPipelined(const LoadgenOptions& options) {
   PipelinedRun w1;
   PipelinedRun w8;
   PipelinedRun w64;
-  std::uint64_t interop_v1 = 0;
-  std::uint64_t interop_v2 = 0;
   std::uint64_t protocol_errors = 0;
   {
     SoakServer soak;
@@ -1065,8 +1089,8 @@ int RunPipelined(const LoadgenOptions& options) {
                 kHitProblems, requests);
 
     {
-      net::Client client;
-      if (Status s = client.Connect(host, port); !s.ok()) {
+      net::RawConn conn;
+      if (Status s = conn.Connect(host, port); !s.ok()) {
         std::fprintf(stderr, "FAIL [pipelined/connect]: %s\n",
                      s.ToString().c_str());
         return 1;
@@ -1076,13 +1100,14 @@ int RunPipelined(const LoadgenOptions& options) {
       const Stopwatch wall;
       for (int i = 0; i < requests; ++i) {
         const Tick start = WallNow();
-        auto resp = client.Solve(
+        Status solved = RoundTripSolve(
+            conn, static_cast<std::uint64_t>(i) + 1,
             SolveMsg(TenantName(i % kTenants),
                      texts[static_cast<std::size_t>(i) % texts.size()]));
-        if (!resp.ok()) {
+        if (!solved.ok()) {
           ++failures;
           std::fprintf(stderr, "FAIL [blocking/solve]: %s\n",
-                       resp.status().ToString().c_str());
+                       solved.ToString().c_str());
           continue;
         }
         ms.push_back(MsSince(start));
@@ -1107,58 +1132,7 @@ int RunPipelined(const LoadgenOptions& options) {
                   window, run->kreq_s, run->rtt.median, run->rtt.p99);
     }
 
-    // ---- Interop: v1 blocking and v2 pipelined share the server ----------
-    {
-      constexpr int kInteropRounds = 200;
-      std::atomic<std::uint64_t> v1_ok{0};
-      std::atomic<std::uint64_t> v2_ok{0};
-      std::thread v1_thread([&] {
-        net::Client client;
-        if (!client.Connect(host, port).ok()) return;
-        for (int i = 0; i < kInteropRounds; ++i) {
-          auto resp = client.Solve(
-              SolveMsg(TenantName(i % kTenants),
-                       texts[static_cast<std::size_t>(i) % texts.size()]));
-          if (resp.ok()) v1_ok.fetch_add(1, std::memory_order_relaxed);
-          if (i % 16 == 0 && client.Health().ok()) {
-            v1_ok.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-      std::thread v2_thread([&] {
-        net::AsyncClientOptions copts;
-        copts.window = 32;
-        net::AsyncClient client(copts);
-        if (!client.Connect(host, port).ok()) return;
-        std::mutex mu;
-        std::condition_variable cv;
-        int done = 0;
-        for (int i = 0; i < kInteropRounds; ++i) {
-          client.SolveAsync(
-              SolveMsg(TenantName(i % kTenants),
-                       texts[static_cast<std::size_t>(i) % texts.size()]),
-              [&](Expected<net::SolveResponseMsg> resp) {
-                std::lock_guard<std::mutex> lock(mu);
-                ++done;
-                if (resp.ok()) {
-                  v2_ok.fetch_add(1, std::memory_order_relaxed);
-                }
-                if (done == kInteropRounds) cv.notify_all();
-              });
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return done == kInteropRounds; });
-      });
-      v1_thread.join();
-      v2_thread.join();
-      interop_v1 = v1_ok.load();
-      interop_v2 = v2_ok.load();
-      std::printf("interop: %llu v1 + %llu v2 responses interleaved\n",
-                  static_cast<unsigned long long>(interop_v1),
-                  static_cast<unsigned long long>(interop_v2));
-    }
-
-    net::Client direct;
+    net::AsyncClient direct;
     if (direct.Connect(host, port).ok()) {
       if (auto stats = direct.Stats(); stats.ok()) {
         protocol_errors = stats->protocol_errors;
@@ -1212,7 +1186,7 @@ int RunPipelined(const LoadgenOptions& options) {
   gate(failures == 0,
        "zero failed requests (" + std::to_string(failures) + " failed)");
   gate(protocol_errors == 0,
-       "zero server protocol errors with mixed v1+v2 clients (" +
+       "zero server protocol errors (" +
            std::to_string(protocol_errors) + ")");
   gate(w1.rtt.median < 5.0,
        "window-1 p50 in single-digit ms — TCP_NODELAY live on both sides "

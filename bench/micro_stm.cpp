@@ -1,7 +1,7 @@
 // Microbenchmarks of the Space-Time Memory data plane.
 //
 // Covers the PR 5 hot paths: the single-threaded put/get/consume frame loop
-// over both storage backends (map vs ring, unpooled vs pooled payloads), a
+// over both storage backends (map vs ring), a
 // contended many-producer/many-consumer sweep with dropping puts and
 // mixed exact/wildcard gets, the batched frame gather against the per-edge
 // get loop it replaced, a bounded streaming pipeline, work-queue batching,
@@ -47,22 +47,18 @@ struct Payload64 {
   std::uint8_t bytes[64] = {};
 };
 
-// ---- single-threaded frame loop: map vs ring vs ring+pooled ----------------------
+// ---- single-threaded frame loop: map vs ring ---------------------------------------
 
 constexpr Timestamp kFrameLoopFrames = 50000;
 
-double FrameLoop(stm::StorageMode storage, bool pooled,
-                 bench::JsonReport& json, const std::string& name,
-                 int samples) {
+double FrameLoop(stm::StorageMode storage, bench::JsonReport& json,
+                 const std::string& name, int samples) {
   const Summary s = Measure(samples, [&] {
     stm::Channel ch(ChannelId(0), name, stm::ChannelOptions{8, storage});
     ConnId out = ch.Attach(stm::ConnDir::kOutput);
     ConnId in = ch.Attach(stm::ConnDir::kInput);
     for (Timestamp t = 0; t < kFrameLoopFrames; ++t) {
-      Status put = pooled
-                       ? ch.PutValuePooled<Payload64>(out, t, Payload64{})
-                       : ch.PutValue<Payload64>(out, t, Payload64{});
-      SS_CHECK(put.ok());
+      SS_CHECK(ch.PutValue<Payload64>(out, t, Payload64{}).ok());
       auto item =
           ch.Get(in, stm::TsQuery::Exact(t), stm::GetMode::kNonBlocking);
       SS_CHECK(item.ok());
@@ -108,8 +104,8 @@ double Mpmc(stm::StorageMode storage, bench::JsonReport& json,
       threads.emplace_back([&ch, &outs, p] {
         const ConnId out = outs[static_cast<std::size_t>(p)];
         for (Timestamp t = p; t < kMpmcFrames; t += kMpmcProducers) {
-          Status put = ch.PutValuePooled<Payload64>(out, t, Payload64{},
-                                                    stm::PutMode::kDropOldest);
+          Status put = ch.PutValue<Payload64>(out, t, Payload64{},
+                                              stm::PutMode::kDropOldest);
           SS_CHECK(put.ok() || put.code() == StatusCode::kOutOfRange);
         }
         ch.Detach(out);
@@ -169,8 +165,7 @@ double GatherBench(bool batched, bench::JsonReport& json,
     for (Timestamp t = 0; t < kGatherFrames; ++t) {
       for (std::size_t e = 0; e < kGatherEdges; ++e) {
         SS_CHECK(
-            channels[e]->PutValuePooled<Payload64>(outs[e], t, Payload64{})
-                .ok());
+            channels[e]->PutValue<Payload64>(outs[e], t, Payload64{}).ok());
       }
       std::vector<stm::Item> items;
       std::vector<stm::Item> prev;
@@ -219,7 +214,7 @@ double Streaming(bench::JsonReport& json, int samples) {
     ConnId in = ch.Attach(stm::ConnDir::kInput);
     std::thread producer([&] {
       for (Timestamp t = 0; t < kStreamFrames; ++t) {
-        SS_CHECK(ch.PutValuePooled<Payload64>(out, t, Payload64{}).ok());
+        SS_CHECK(ch.PutValue<Payload64>(out, t, Payload64{}).ok());
       }
     });
     for (Timestamp t = 0; t < kStreamFrames; ++t) {
@@ -300,18 +295,16 @@ int Run(int argc, char** argv) {
   bench::JsonReport json(bench::JsonReport::PathFromArgs(argc, argv));
   const int samples = 7;
 
-  bench::PrintHeader("STM data plane: storage modes, pooling, batching");
+  bench::PrintHeader("STM data plane: storage modes and batching");
 
   std::printf("frame loop (put + exact get + consume, capacity 8):\n");
-  const double map_ms = FrameLoop(stm::StorageMode::kMap, false, json,
+  const double map_ms = FrameLoop(stm::StorageMode::kMap, json,
                                   "stm_frame_loop_map", samples);
-  FrameLoop(stm::StorageMode::kRing, false, json, "stm_frame_loop_ring",
-            samples);
-  const double pooled_ms = FrameLoop(stm::StorageMode::kRing, true, json,
-                                     "stm_frame_loop_ring_pooled", samples);
-  const double loop_x = pooled_ms > 0.0 ? map_ms / pooled_ms : 0.0;
-  json.Add("stm_ring_pooled_vs_map_x", loop_x, loop_x);
-  std::printf("  ring+pooled vs map: %.2fx\n\n", loop_x);
+  const double ring_ms = FrameLoop(stm::StorageMode::kRing, json,
+                                   "stm_frame_loop_ring", samples);
+  const double loop_x = ring_ms > 0.0 ? map_ms / ring_ms : 0.0;
+  json.Add("stm_ring_vs_map_x", loop_x, loop_x);
+  std::printf("  ring vs map: %.2fx\n\n", loop_x);
 
   std::printf("contended MPMC (dropping puts, mixed queries):\n");
   Mpmc(stm::StorageMode::kMap, json, "stm_mpmc_2p2c_map", 5);

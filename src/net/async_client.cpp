@@ -1,7 +1,12 @@
 #include "net/async_client.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -12,6 +17,40 @@
 namespace ss::net {
 
 namespace {
+
+Status ErrnoError(const std::string& what) {
+  return InternalError(what + ": " + std::strerror(errno));
+}
+
+/// Finishes a connect() interrupted by a signal. POSIX keeps the three-way
+/// handshake running after EINTR, so the only correct continuation is to
+/// wait for writability and read the final result from SO_ERROR —
+/// reissuing connect() would race the in-flight attempt and failing
+/// outright turns every signal into a spurious I/O error.
+Status AwaitConnect(int fd, Tick timeout) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLOUT;
+  const Tick give_up = WallNow() + timeout;
+  while (true) {
+    const Tick remaining = give_up - WallNow();
+    if (remaining <= 0) return DeadlineExceededError("connect timed out");
+    const int n = ::poll(&pfd, 1, static_cast<int>(remaining / 1000 + 1));
+    if (n > 0) break;
+    if (n == 0) return DeadlineExceededError("connect timed out");
+    if (errno == EINTR) continue;  // restart the wait, same deadline
+    return ErrnoError("poll(connect)");
+  }
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    return ErrnoError("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    return InternalError(std::string("connect: ") + std::strerror(err));
+  }
+  return OkStatus();
+}
 
 /// Decodes a completed response frame into the expected message type; a
 /// kError frame becomes its typed Status.
@@ -36,14 +75,67 @@ Expected<Msg> DecodeTyped(const Frame& frame, MsgType want) {
 
 }  // namespace
 
+Expected<int> ConnectTcp(const std::string& host, int port, Tick io_timeout) {
+  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
+    return InvalidArgumentError("unparseable IPv4 address '" + host + "'");
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return ErrnoError("socket");
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(io_timeout / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(io_timeout % 1'000'000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    // EINTR leaves the handshake running in the background; wait it out
+    // instead of surfacing a spurious error (see AwaitConnect).
+    const Status failed =
+        errno == EINTR
+            ? AwaitConnect(fd, io_timeout)
+            : ErrnoError("connect " + host + ":" + std::to_string(port));
+    if (!failed.ok()) {
+      ::close(fd);
+      return failed;
+    }
+  }
+  return fd;
+}
+
+Status SendAll(int fd, const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::size_t sent = 0;
+  while (sent < size) {
+    const ssize_t w = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
+    if (w > 0) {
+      sent += static_cast<std::size_t>(w);
+      continue;
+    }
+    // send() returning 0 without an errno means no progress (seen when a
+    // signal lands at the exact syscall boundary); retrying is the only
+    // move that neither drops bytes nor invents a stale-errno error.
+    if (w == 0 || errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return DeadlineExceededError("send timed out");
+    }
+    return ErrnoError("send");
+  }
+  return OkStatus();
+}
+
 AsyncClient::~AsyncClient() { Close(); }
 
 Status AsyncClient::Connect(const std::string& host, int port) {
   Close();
-  ClientOptions copts;
-  copts.io_timeout = options_.io_timeout;
-  client_ = std::make_unique<Client>(copts);
-  SS_RETURN_IF_ERROR(client_->Connect(host, port));
+  auto fd = ConnectTcp(host, port, options_.io_timeout);
+  if (!fd.ok()) return fd.status();
+  fd_ = *fd;
   {
     MutexLock lock(mu_);
     closing_ = false;
@@ -70,9 +162,7 @@ void AsyncClient::Close() {
   }
   // Wake the reader out of poll/recv; it fails the remaining requests
   // with "server closed" or we sweep them below.
-  if (client_ != nullptr && client_->fd() >= 0) {
-    ::shutdown(client_->fd(), SHUT_RDWR);
-  }
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   if (reader_.joinable()) reader_.join();
   {
     // Never-flushed corked frames die with the connection; their pending
@@ -83,7 +173,10 @@ void AsyncClient::Close() {
   }
   cork_dirty_.store(false, std::memory_order_release);
   FailAll(CancelledError("client closed"));
-  if (client_ != nullptr) client_->Close();
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
   running_.store(false, std::memory_order_release);
 }
 
@@ -132,7 +225,7 @@ Status AsyncClient::Submit(MsgType type, const std::vector<std::uint8_t>& body,
       cork_dirty_.store(true, std::memory_order_release);
       return OkStatus();
     }
-    sent = client_->SendBytes(encoded.data(), encoded.size());
+    sent = SendAll(fd_, encoded.data(), encoded.size());
   }
   if (sent.ok()) return OkStatus();
 
@@ -182,7 +275,7 @@ Status AsyncClient::FlushCork() {
   {
     MutexLock lock(send_mu_);
     if (cork_buf_.empty()) return OkStatus();
-    sent = client_->SendBytes(cork_buf_.data(), cork_buf_.size());
+    sent = SendAll(fd_, cork_buf_.data(), cork_buf_.size());
     cork_buf_.clear();
     cork_dirty_.store(false, std::memory_order_release);
   }
@@ -195,7 +288,7 @@ Status AsyncClient::FlushCork() {
 void AsyncClient::ReaderLoop() {
   FrameDecoder decoder(kMaxFrameBytes);
   std::vector<char> buf(65536);
-  const int fd = client_->fd();
+  const int fd = fd_;
   while (true) {
     {
       MutexLock lock(mu_);
@@ -233,8 +326,8 @@ void AsyncClient::ReaderLoop() {
       Frame frame;
       auto got = decoder.Next(&frame);
       if (!got.ok()) {
-        // Undecodable response stream: same typed failure the blocking
-        // client reports, applied to everything in flight.
+        // Undecodable response stream: the decoder's typed failure,
+        // applied to everything in flight.
         FailAll(got.status());
         return;
       }

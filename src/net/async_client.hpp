@@ -1,6 +1,6 @@
-// Pipelined protocol-v2 client: many requests in flight on one connection.
+// The protocol client: many requests in flight on one connection.
 //
-// Every request is framed as protocol v2 with a fresh nonzero request_id;
+// Every request is framed with a fresh nonzero request_id;
 // the server echoes the id, so responses complete out of order and a slow
 // cold solve never holds up the cache hits pipelined behind it. One reader
 // thread owns the receive side and finishes requests as their responses
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -34,10 +33,19 @@
 #include "core/error.hpp"
 #include "core/sync.hpp"
 #include "core/time.hpp"
-#include "net/client.hpp"
 #include "net/protocol.hpp"
 
 namespace ss::net {
+
+/// Opens a TCP connection to an IPv4 address ("localhost" is accepted as
+/// 127.0.0.1) with TCP_NODELAY and `io_timeout` as the socket's send and
+/// receive timeouts. A connect() interrupted by a signal is waited out,
+/// not failed. The caller owns the returned fd.
+Expected<int> ConnectTcp(const std::string& host, int port, Tick io_timeout);
+
+/// Writes all `size` bytes to `fd`, restarting after signals;
+/// kDeadlineExceeded once the socket's send timeout expires.
+Status SendAll(int fd, const void* data, std::size_t size);
 
 struct AsyncClientOptions {
   /// Per-request deadline: requests still pending this long after submit
@@ -76,7 +84,7 @@ class AsyncClient {
   /// closes the socket. Idempotent.
   void Close();
 
-  /// Sends one v2 request frame; `done` completes it later (see the
+  /// Sends one request frame; `done` completes it later (see the
   /// completion contract above). Blocks while the in-flight window is
   /// full. Errors: kFailedPrecondition (not connected), kCancelled
   /// (closing / stream already failed), or the send failure.
@@ -139,8 +147,9 @@ class AsyncClient {
                              const std::vector<std::uint8_t>& body);
 
   AsyncClientOptions options_;
-  /// Rebuilt on every Connect (Client is single-connection and pinned).
-  std::unique_ptr<Client> client_;
+  /// The connected socket; -1 when closed. Written only by Connect and
+  /// Close, which the reader thread never overlaps.
+  int fd_ = -1;
   std::thread reader_;
   std::atomic<bool> running_{false};
   std::atomic<bool> broken_flag_{false};

@@ -121,10 +121,8 @@ class ChaosProxy::Impl {
   /// reset phases are aligned to real protocol frames. `frame_index` is
   /// the frame currently in progress (== frames completed so far) and
   /// `offset_in_frame` counts from 0 at its length prefix; offset 0 is
-  /// exactly the boundary after the previous frame. Version-agnostic by
-  /// construction: it walks `[u32 length]`-delimited frames and never
-  /// looks past the prefix, so v1 and v2 frames (whose length covers the
-  /// extra request_id bytes) track identically.
+  /// exactly the boundary after the previous frame. It walks
+  /// `[u32 length]`-delimited frames and never looks past the prefix.
   struct FrameTracker {
     std::uint64_t frame_index = 0;
     std::uint64_t offset_in_frame = 0;

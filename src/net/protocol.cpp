@@ -134,15 +134,13 @@ std::vector<std::uint8_t> EncodeFrame(MsgType type,
                                       const std::vector<std::uint8_t>& body,
                                       std::uint8_t version,
                                       std::uint64_t request_id) {
-  const std::size_t header =
-      version >= kProtocolVersion2 ? 2 + sizeof(std::uint64_t) : 2;
   std::vector<std::uint8_t> frame;
-  frame.reserve(4 + header + body.size());
+  frame.reserve(4 + kFrameHeaderBytes + body.size());
   WireWriter w(&frame);
-  w.U32(static_cast<std::uint32_t>(header + body.size()));
+  w.U32(static_cast<std::uint32_t>(kFrameHeaderBytes + body.size()));
   w.U8(version);
   w.U8(static_cast<std::uint8_t>(type));
-  if (version >= kProtocolVersion2) w.U64(request_id);
+  w.U64(request_id);
   frame.insert(frame.end(), body.begin(), body.end());
   return frame;
 }
@@ -180,10 +178,6 @@ std::vector<std::uint8_t> EncodeBody(const SolveRequestMsg& msg) {
   return body;
 }
 
-std::vector<std::uint8_t> Encode(const SolveRequestMsg& msg) {
-  return EncodeFrame(MsgType::kSolve, EncodeBody(msg));
-}
-
 Status Decode(const std::uint8_t* body, std::size_t size,
               SolveRequestMsg* out) {
   WireReader r(body, size);
@@ -203,10 +197,6 @@ std::vector<std::uint8_t> EncodeBody(const SolveResponseMsg& msg) {
   WriteSummary(&w, msg.summary);
   w.U8(msg.cache_hit ? 1 : 0);
   return body;
-}
-
-std::vector<std::uint8_t> Encode(const SolveResponseMsg& msg) {
-  return EncodeFrame(MsgType::kSolveOk, EncodeBody(msg));
 }
 
 Status Decode(const std::uint8_t* body, std::size_t size,
@@ -229,10 +219,6 @@ std::vector<std::uint8_t> EncodeBody(const LookupRequestMsg& msg) {
   return body;
 }
 
-std::vector<std::uint8_t> Encode(const LookupRequestMsg& msg) {
-  return EncodeFrame(MsgType::kLookup, EncodeBody(msg));
-}
-
 Status Decode(const std::uint8_t* body, std::size_t size,
               LookupRequestMsg* out) {
   WireReader r(body, size);
@@ -251,10 +237,6 @@ std::vector<std::uint8_t> EncodeBody(const LookupResponseMsg& msg) {
   return body;
 }
 
-std::vector<std::uint8_t> Encode(const LookupResponseMsg& msg) {
-  return EncodeFrame(MsgType::kLookupOk, EncodeBody(msg));
-}
-
 Status Decode(const std::uint8_t* body, std::size_t size,
               LookupResponseMsg* out) {
   WireReader r(body, size);
@@ -266,10 +248,6 @@ Status Decode(const std::uint8_t* body, std::size_t size,
   }
   if (!r.AtEnd()) return MalformedBody("lookup response");
   return OkStatus();
-}
-
-std::vector<std::uint8_t> EncodeStatsRequest() {
-  return EncodeFrame(MsgType::kStats, {});
 }
 
 std::vector<std::uint8_t> EncodeBody(const StatsResponseMsg& msg) {
@@ -320,10 +298,6 @@ std::vector<std::uint8_t> EncodeBody(const StatsResponseMsg& msg) {
     w.U64(l.responses_sent);
   }
   return body;
-}
-
-std::vector<std::uint8_t> Encode(const StatsResponseMsg& msg) {
-  return EncodeFrame(MsgType::kStatsOk, EncodeBody(msg));
 }
 
 Status Decode(const std::uint8_t* body, std::size_t size,
@@ -380,20 +354,12 @@ Status Decode(const std::uint8_t* body, std::size_t size,
   return OkStatus();
 }
 
-std::vector<std::uint8_t> EncodeHealthRequest() {
-  return EncodeFrame(MsgType::kHealth, {});
-}
-
 std::vector<std::uint8_t> EncodeBody(const HealthResponseMsg& msg) {
   std::vector<std::uint8_t> body;
   WireWriter w(&body);
   w.Str(msg.state);
   w.I64(msg.uptime_micros);
   return body;
-}
-
-std::vector<std::uint8_t> Encode(const HealthResponseMsg& msg) {
-  return EncodeFrame(MsgType::kHealthOk, EncodeBody(msg));
 }
 
 Status Decode(const std::uint8_t* body, std::size_t size,
@@ -411,10 +377,6 @@ std::vector<std::uint8_t> EncodeBody(const ErrorResponseMsg& msg) {
   w.U8(static_cast<std::uint8_t>(msg.code));
   w.Str(msg.message);
   return body;
-}
-
-std::vector<std::uint8_t> Encode(const ErrorResponseMsg& msg) {
-  return EncodeFrame(MsgType::kError, EncodeBody(msg));
 }
 
 Status Decode(const std::uint8_t* body, std::size_t size,
@@ -445,47 +407,47 @@ void FrameDecoder::Append(const void* data, std::size_t size) {
   buf_.insert(buf_.end(), bytes, bytes + size);
 }
 
+Expected<bool> FrameDecoder::Fail(WireError code, std::string message) {
+  error_code_ = code;
+  error_ = InvalidArgumentError(std::move(message));
+  return error_;
+}
+
 Expected<bool> FrameDecoder::Next(Frame* out) {
   if (!error_.ok()) return error_;
   const std::size_t avail = buf_.size() - pos_;
   if (avail < 4) return false;
+  WireReader header(&buf_[pos_], avail);
   std::uint32_t length = 0;
-  for (int i = 3; i >= 0; --i) length = (length << 8) | buf_[pos_ + static_cast<std::size_t>(i)];
-  if (length < 2 || length > max_frame_) {
-    error_ = InvalidArgumentError(
-        "malformed frame: length " + std::to_string(length) +
-        " outside [2, " + std::to_string(max_frame_) + "]");
-    return error_;
+  std::uint8_t version = 0;
+  std::uint8_t type = 0;
+  header.U32(&length);
+  if (length > max_frame_) {
+    return Fail(WireError::kMalformed,
+                "malformed frame: length " + std::to_string(length) +
+                    " exceeds " + std::to_string(max_frame_));
+  }
+  // The version byte is judged as soon as it arrives, before the header
+  // length: a peer speaking another layout (v1's shorter header included)
+  // is unsupported, not a runt.
+  if (length > 0 && !header.U8(&version)) return false;
+  if (length > 0 && version != kProtocolVersion2) {
+    return Fail(WireError::kUnsupported,
+                "unsupported protocol version " + std::to_string(version));
+  }
+  if (length < kFrameHeaderBytes) {
+    return Fail(WireError::kMalformed,
+                "malformed frame: length " + std::to_string(length) +
+                    " too short for the " +
+                    std::to_string(kFrameHeaderBytes) + "-byte header");
   }
   if (avail < 4u + length) return false;
-  const std::uint8_t version = buf_[pos_ + 4];
-  if (version != kProtocolVersion && version != kProtocolVersion2) {
-    error_ = InvalidArgumentError("unsupported protocol version " +
-                                  std::to_string(version));
-    return error_;
-  }
-  out->version = version;
-  out->type = static_cast<MsgType>(buf_[pos_ + 5]);
-  std::size_t body_at = pos_ + 6;
-  if (version == kProtocolVersion2) {
-    // v2 carries a u64 request_id between type and body; a length that
-    // cannot hold it is a truncated header, not a short body.
-    if (length < 2 + sizeof(std::uint64_t)) {
-      error_ = InvalidArgumentError(
-          "malformed v2 frame: length " + std::to_string(length) +
-          " too short for a request_id");
-      return error_;
-    }
-    std::uint64_t id = 0;
-    for (int i = 7; i >= 0; --i) {
-      id = (id << 8) | buf_[body_at + static_cast<std::size_t>(i)];
-    }
-    out->request_id = id;
-    body_at += sizeof(std::uint64_t);
-  } else {
-    out->request_id = 0;
-  }
-  out->body.assign(buf_.begin() + static_cast<std::ptrdiff_t>(body_at),
+  header.U8(&type);
+  header.U64(&out->request_id);
+  out->type = static_cast<MsgType>(type);
+  const auto body_at =
+      buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + kFrameHeaderBytes);
+  out->body.assign(body_at,
                    buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + length));
   pos_ += 4u + length;
   return true;

@@ -1,25 +1,24 @@
 // Wire protocol for the multi-tenant scheduling server.
 //
-// Length-prefixed binary frames over TCP, little-endian throughout. Two
-// frame layouts share the stream, discriminated by the version byte:
+// Length-prefixed binary frames over TCP, little-endian throughout, one
+// frame layout:
 //
-//   v1:  [u32 length][u8 version=1][u8 type][body...]
-//   v2:  [u32 length][u8 version=2][u8 type][u64 request_id][body...]
+//   [u32 length][u8 version=2][u8 type][u64 request_id][body...]
 //
 // `length` counts everything after itself (version + type + request_id +
 // body) and is bounded by kMaxFrameBytes — a peer announcing more is
-// malformed and the connection is closed. Strings are [u32 length][bytes]
-// (no NUL). The request verbs are solve / lookup / stats / health; every
-// request gets exactly one response frame: the matching *Ok type on
-// success or kError carrying a typed WireError plus a human-readable
-// message. v1 responses arrive in request order; v2 responses carry the
-// request's `request_id` back and may complete out of order, which is what
-// lets one connection keep a window of requests in flight (AsyncClient).
-// A connection speaks one version, latched by its first frame. Error codes
-// are a closed enum so clients can switch on them; WireErrorFromStatus /
-// StatusFromWireError give a lossless-enough round trip for the service's
-// typed failures (deadline, queue-full, admission-rejected,
-// corrupt-artifact, ...).
+// malformed and the connection is closed. A version byte other than 2 is
+// unsupported (the retired v1 layout included) and closes the connection
+// too. Strings are [u32 length][bytes] (no NUL). The request verbs are
+// solve / lookup / stats / health; every request gets exactly one response
+// frame: the matching *Ok type on success or kError carrying a typed
+// WireError plus a human-readable message. Responses carry the request's
+// `request_id` back and may complete out of order, which is what lets one
+// connection keep a window of requests in flight (AsyncClient). Error
+// codes are a closed enum so clients can switch on them;
+// WireErrorFromStatus / StatusFromWireError give a lossless-enough round
+// trip for the service's typed failures (deadline, queue-full,
+// admission-rejected, corrupt-artifact, ...).
 //
 // Solve and lookup requests carry the problem inline as .ssg text
 // (graph/graph_io.hpp): the server stays stateless across connections and
@@ -40,13 +39,14 @@
 
 namespace ss::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
-/// Pipelined protocol: frames carry a u64 request_id after the type byte
-/// and responses may complete out of order.
+/// The version byte every frame carries. Frames hold a u64 request_id
+/// after the type byte and responses may complete out of order.
 inline constexpr std::uint8_t kProtocolVersion2 = 2;
-/// Upper bound on one frame's payload (version + type + body). Problem
-/// texts are a few KiB; anything near this bound is abuse.
+/// Upper bound on one frame's payload (version + type + request_id +
+/// body). Problem texts are a few KiB; anything near this bound is abuse.
 inline constexpr std::size_t kMaxFrameBytes = 1u << 20;
+/// Smallest legal `length`: version + type + request_id, empty body.
+inline constexpr std::size_t kFrameHeaderBytes = 2 + sizeof(std::uint64_t);
 
 enum class MsgType : std::uint8_t {
   kSolve = 1,
@@ -257,18 +257,16 @@ class WireReader {
   bool failed_ = false;
 };
 
-/// Encodes a complete frame (length prefix + version + type + body). The
-/// defaults produce a v1 frame; pass kProtocolVersion2 and a request_id
-/// for the pipelined layout (the id rides between type and body).
+/// Encodes a complete frame: length prefix, `version`, type, request_id,
+/// body. Peers always send kProtocolVersion2; the byte is a parameter so
+/// tests can forge frames a server must refuse.
 std::vector<std::uint8_t> EncodeFrame(MsgType type,
                                       const std::vector<std::uint8_t>& body,
-                                      std::uint8_t version = kProtocolVersion,
+                                      std::uint8_t version = kProtocolVersion2,
                                       std::uint64_t request_id = 0);
 
-// Body-only encoders, for callers that wrap the frame themselves (the
-// server echoes the connection's version and the request's id; the async
-// client stamps fresh v2 ids). Encode(msg) == EncodeFrame(type,
-// EncodeBody(msg)) for every message type.
+// Body encoders; EncodeFrame wraps them (the server echoes the request's
+// id, the async client stamps fresh ids).
 std::vector<std::uint8_t> EncodeBody(const SolveRequestMsg& msg);
 std::vector<std::uint8_t> EncodeBody(const SolveResponseMsg& msg);
 std::vector<std::uint8_t> EncodeBody(const LookupRequestMsg& msg);
@@ -276,16 +274,6 @@ std::vector<std::uint8_t> EncodeBody(const LookupResponseMsg& msg);
 std::vector<std::uint8_t> EncodeBody(const StatsResponseMsg& msg);
 std::vector<std::uint8_t> EncodeBody(const HealthResponseMsg& msg);
 std::vector<std::uint8_t> EncodeBody(const ErrorResponseMsg& msg);
-
-std::vector<std::uint8_t> Encode(const SolveRequestMsg& msg);
-std::vector<std::uint8_t> Encode(const SolveResponseMsg& msg);
-std::vector<std::uint8_t> Encode(const LookupRequestMsg& msg);
-std::vector<std::uint8_t> Encode(const LookupResponseMsg& msg);
-std::vector<std::uint8_t> EncodeStatsRequest();
-std::vector<std::uint8_t> Encode(const StatsResponseMsg& msg);
-std::vector<std::uint8_t> EncodeHealthRequest();
-std::vector<std::uint8_t> Encode(const HealthResponseMsg& msg);
-std::vector<std::uint8_t> Encode(const ErrorResponseMsg& msg);
 
 Status Decode(const std::uint8_t* body, std::size_t size,
               SolveRequestMsg* out);
@@ -302,21 +290,19 @@ Status Decode(const std::uint8_t* body, std::size_t size,
 Status Decode(const std::uint8_t* body, std::size_t size,
               ErrorResponseMsg* out);
 
-/// One decoded frame: the type byte plus its body bytes. `request_id` is
-/// the correlation id for v2 frames and 0 for v1 frames.
+/// One decoded frame: the type byte, the correlation id and the body.
 struct Frame {
   MsgType type = MsgType::kError;
-  std::uint8_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> body;
 };
 
 /// Incremental frame extractor for a TCP byte stream. Feed arbitrary
-/// chunks with Append(); Next() yields complete frames in order (v1 and
-/// v2 layouts both decode; the caller enforces any one-version-per-
-/// connection policy). A malformed prefix (oversized length, unknown
-/// version, v2 frame too short for its request_id) is a permanent, typed
-/// failure — the connection must be closed.
+/// chunks with Append(); Next() yields complete frames in order. A bad
+/// prefix (oversized length, a version byte other than 2, a length too
+/// short for the header) is a permanent, typed failure — the connection
+/// must be closed. The version byte is judged as soon as it arrives, so a
+/// peer speaking another layout is refused as unsupported, not as a runt.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_frame = kMaxFrameBytes)
@@ -330,12 +316,18 @@ class FrameDecoder {
   Expected<bool> Next(Frame* out);
 
   std::size_t buffered() const { return buf_.size() - pos_; }
+  /// Wire code of the permanent failure: kUnsupported for a foreign
+  /// version byte, kMalformed otherwise; kOk while the stream is healthy.
+  WireError error_code() const { return error_code_; }
 
  private:
+  Expected<bool> Fail(WireError code, std::string message);
+
   std::size_t max_frame_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
   Status error_;
+  WireError error_code_ = WireError::kOk;
 };
 
 /// Maps a tenant-front-end stats snapshot into its wire form.

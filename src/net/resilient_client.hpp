@@ -1,6 +1,6 @@
 // Retrying wrapper around net::AsyncClient's blocking verbs.
 //
-// Each connection is a pipelined protocol-v2 stream; ResilientClient
+// Each connection is a pipelined stream; ResilientClient
 // issues one request at a time on it (the retry budget is per call), but
 // sharing the AsyncClient keeps the transport identical to the pipelined
 // hot path, and response correlation by request_id means an abandoned

@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -85,21 +84,6 @@ struct Server::Conn {
   /// Hard failure (write error); close immediately.
   bool broken = false;
   bool want_write = false;
-  /// Protocol version latched by the first decoded frame; 0 until then.
-  /// Switching versions mid-connection is a protocol error.
-  std::uint8_t version = 0;
-  /// Submit sequence assigned to each solve handed to the tenant layer.
-  std::uint64_t next_solve_seq = 0;
-  /// v1 ordering: the next solve sequence allowed into the write queue.
-  /// Inline responses (lookup/stats/health/errors) are not sequenced —
-  /// they leave as soon as they are produced, ahead of parked solves,
-  /// which is what lets a shed error reach a pipelining client whose
-  /// first solve never finishes.
-  std::uint64_t next_solve_to_send = 0;
-  /// v1 reorder buffer: solve responses that completed before an earlier
-  /// solve's. v2 connections never populate it (responses carry the
-  /// request_id and leave immediately).
-  std::map<std::uint64_t, std::vector<std::uint8_t>> held;
 };
 
 // Hand-off point between other threads and one loop shard. Completion
@@ -109,8 +93,6 @@ struct Server::Conn {
 struct Server::CompletionSink {
   struct Completion {
     std::uint64_t conn_id = 0;
-    /// Submit sequence of the originating solve, for v1 ordering.
-    std::uint64_t solve_seq = 0;
     std::vector<std::uint8_t> frame;
   };
 
@@ -124,15 +106,15 @@ struct Server::CompletionSink {
   /// read-only: needs no lock.
   int event_fd = -1;
 
-  void Post(std::uint64_t conn_id, std::uint64_t solve_seq,
-            std::vector<std::uint8_t> frame) SS_EXCLUDES(mu) {
+  void Post(std::uint64_t conn_id, std::vector<std::uint8_t> frame)
+      SS_EXCLUDES(mu) {
     MutexLock lock(mu);
     if (!open) return;
     // One eventfd write per wakeup, not per entry: a non-empty queue means
     // a kick is already pending (or the loop is mid-iteration and will
     // swap this entry out before it sleeps again).
     if (queue.empty() && adopt.empty()) Kick();
-    queue.push_back(Completion{conn_id, solve_seq, std::move(frame)});
+    queue.push_back(Completion{conn_id, std::move(frame)});
   }
 
   /// Hands an accepted fd to this shard. False once the sink closed — the
@@ -368,13 +350,6 @@ class Server::Impl {
     return total;
   }
 
-  /// The version a connection's responses are framed with: the latched
-  /// version, or v1 before any frame decoded (errors for streams that
-  /// never produced a frame have nothing else to echo).
-  static std::uint8_t WireVersion(const Conn& c) {
-    return c.version == 0 ? kProtocolVersion : c.version;
-  }
-
   Status AddFd(Shard& s, int fd, std::uint64_t id) {
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -476,27 +451,17 @@ class Server::Impl {
       Frame frame;
       auto got = c.decoder.Next(&frame);
       if (!got.ok()) {
-        // Undecodable stream: best-effort error frame (request_id 0 — the
-        // bytes never became a request to correlate with), then close
+        // Undecodable stream (UNSUPPORTED for a foreign version byte,
+        // MALFORMED otherwise): best-effort error frame (request_id 0 —
+        // the bytes never became a request to correlate with), then close
         // once it and any pending responses flush.
         s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        SendError(s, c, /*request_id=*/0, WireError::kMalformed,
+        SendError(s, c, /*request_id=*/0, c.decoder.error_code(),
                   got.status().message());
         c.closing = true;
         break;
       }
       if (!*got) break;
-      if (c.version == 0) {
-        c.version = frame.version;
-      } else if (frame.version != c.version) {
-        // One version per connection: v1's ordering contract and v2's
-        // correlation ids cannot coexist on one stream.
-        s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        SendError(s, c, frame.request_id, WireError::kUnsupported,
-                  "protocol version changed mid-connection");
-        c.closing = true;
-        break;
-      }
       // Progress = whole frames, not bytes: only a completed frame resets
       // the idle clock, so a peer dribbling a frame slower than the idle
       // window is reaped mid-frame by CloseIdle.
@@ -612,8 +577,6 @@ class Server::Impl {
 
     const std::uint64_t conn_id = c.id;
     const std::uint64_t request_id = frame.request_id;
-    const std::uint8_t version = WireVersion(c);
-    const std::uint64_t solve_seq = c.next_solve_seq++;
     auto sink = s.sink;
     Shard* shard = &s;
     Conn* conn = &c;
@@ -621,7 +584,7 @@ class Server::Impl {
     pending_solves_.fetch_add(1, std::memory_order_relaxed);
     Status queued = tenants_->SubmitSolve(
         msg.tenant, std::move(request),
-        [this, shard, conn, sink, conn_id, solve_seq, request_id, version](
+        [this, shard, conn, sink, conn_id, request_id](
             Expected<service::SolveResult> result, bool cache_hit) {
           std::vector<std::uint8_t> encoded;
           if (result.ok()) {
@@ -629,13 +592,13 @@ class Server::Impl {
             resp.summary = Summarize(**result);
             resp.cache_hit = cache_hit;
             encoded = EncodeFrame(MsgType::kSolveOk, EncodeBody(resp),
-                                  version, request_id);
+                                  kProtocolVersion2, request_id);
           } else {
             ErrorResponseMsg err;
             err.code = WireErrorFromStatus(result.status());
             err.message = result.status().message();
-            encoded = EncodeFrame(MsgType::kError, EncodeBody(err), version,
-                                  request_id);
+            encoded = EncodeFrame(MsgType::kError, EncodeBody(err),
+                                  kProtocolVersion2, request_id);
           }
           // Cache hits complete synchronously on this very loop thread,
           // still inside HandleSolve: the response goes straight onto the
@@ -648,19 +611,15 @@ class Server::Impl {
             pending_solves_.fetch_sub(1, std::memory_order_relaxed);
             if (conn->pending > 0) --conn->pending;
             conn->last_active = WallNow();
-            QueueSolveResponse(*shard, *conn, solve_seq,
-                               std::move(encoded));
+            Queue(*shard, *conn, std::move(encoded));
             return;
           }
-          sink->Post(conn_id, solve_seq, std::move(encoded));
+          sink->Post(conn_id, std::move(encoded));
         });
     if (!queued.ok()) {
       // Typed refusal before the callback was captured anywhere: rate
-      // limit, lane full, unknown tenant, shutdown. Give back the solve
-      // sequence too — no completion will ever post for it, and a v1
-      // reorder gate waiting on it would stall the connection.
+      // limit, lane full, unknown tenant, shutdown.
       --c.pending;
-      --c.next_solve_seq;
       pending_solves_.fetch_sub(1, std::memory_order_relaxed);
       SendError(s, c, frame.request_id, WireErrorFromStatus(queued),
                 queued.message());
@@ -757,45 +716,17 @@ class Server::Impl {
     Respond(s, c, request_id, MsgType::kError, EncodeBody(err));
   }
 
-  /// Queues an inline response (lookup/stats/health/errors): produced on
-  /// the loop thread in request arrival order, so it goes straight to the
-  /// write queue on both protocol versions. On v1 it may overtake the
-  /// response of an earlier still-running solve — deliberately, so typed
-  /// refusals (shed, malformed) reach the client even when a parked solve
-  /// never finishes.
-  void QueueInline(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
+  /// Queues one encoded response. Responses leave in completion order —
+  /// the echoed request_id correlates them — so a parked solve never
+  /// holds up an answer produced after it.
+  void Queue(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
     s.responses_sent.fetch_add(1, std::memory_order_relaxed);
     c.outq.push_back(std::move(frame));
   }
 
   void Respond(Shard& s, Conn& c, std::uint64_t request_id, MsgType type,
                const std::vector<std::uint8_t>& body) {
-    QueueInline(s, c, EncodeFrame(type, body, WireVersion(c), request_id));
-  }
-
-  /// Queues one completed solve response. v2 responses leave in
-  /// completion order (the request_id correlates them); v1 solve
-  /// responses are released in submit order, holding early completions in
-  /// the reorder buffer. Every submitted solve completes exactly once
-  /// (the tenant layer's callback contract), so the gate always advances.
-  void QueueSolveResponse(Shard& s, Conn& c, std::uint64_t solve_seq,
-                          std::vector<std::uint8_t> frame) {
-    if (WireVersion(c) >= kProtocolVersion2) {
-      QueueInline(s, c, std::move(frame));
-      return;
-    }
-    if (solve_seq != c.next_solve_to_send) {
-      c.held.emplace(solve_seq, std::move(frame));
-      return;
-    }
-    QueueInline(s, c, std::move(frame));
-    ++c.next_solve_to_send;
-    auto it = c.held.begin();
-    while (it != c.held.end() && it->first == c.next_solve_to_send) {
-      QueueInline(s, c, std::move(it->second));
-      ++c.next_solve_to_send;
-      it = c.held.erase(it);
-    }
+    Queue(s, c, EncodeFrame(type, body, kProtocolVersion2, request_id));
   }
 
   /// Writes as much of the out-queue as the socket accepts, coalescing up
@@ -852,8 +783,7 @@ class Server::Impl {
   }
 
   bool ShouldClose(const Conn& c) const {
-    return c.broken || (c.closing && c.outq.empty() && c.held.empty() &&
-                        c.pending == 0);
+    return c.broken || (c.closing && c.outq.empty() && c.pending == 0);
   }
 
   /// Adopts handed-off connections and applies solve completions posted
@@ -876,7 +806,7 @@ class Server::Impl {
       Conn& c = *it->second;
       if (c.pending > 0) --c.pending;
       c.last_active = WallNow();
-      QueueSolveResponse(s, c, done.solve_seq, std::move(done.frame));
+      Queue(s, c, std::move(done.frame));
       if (!FlushConn(s, c) || ShouldClose(c)) CloseConn(s, done.conn_id);
     }
   }
@@ -914,7 +844,7 @@ class Server::Impl {
   void CloseFinished(Shard& s) {
     std::vector<std::uint64_t> finished;
     for (const auto& [id, conn] : s.conns) {
-      if (conn->pending == 0 && conn->outq.empty() && conn->held.empty()) {
+      if (conn->pending == 0 && conn->outq.empty()) {
         finished.push_back(id);
       }
     }

@@ -14,13 +14,10 @@
 // stats, and health are answered inline (cache probes and counter
 // snapshots, no solver).
 //
-// Protocol versions: a connection latches the version of its first frame.
-// On v1, solve responses are released in submit order (a reorder buffer
-// holds completions that finish early), while inline responses (lookup,
-// stats, health, typed errors) leave immediately — ahead of parked solves,
-// so a shed refusal always reaches a pipelining client. v2 responses echo
-// the request's request_id and leave as soon as they are ready, which is
-// what makes pipelining pay.
+// Every response echoes its request's request_id and leaves as soon as it
+// is ready, which is what makes pipelining pay. A frame with a version
+// byte other than 2 is answered with one UNSUPPORTED error frame, then the
+// connection closes.
 //
 // Shutdown is a drain: Stop() closes the listener, keeps answering health
 // with "draining", refuses new solves with SHUTTING_DOWN, lets in-flight

@@ -208,10 +208,11 @@ Expected<SolveResult> ScheduleService::RunSolve(const graph::Fingerprint& key,
   solved->schedule = std::move(result->best);
   solved->min_latency = result->min_latency;
   solved->stats = result->Stats();
-  // A cancelled search that still produced a schedule hands out its best
-  // incumbent: legal, but no longer proven optimal.
-  solved->quality = result->cancelled ? sched::ScheduleQuality::kHeuristic
-                                      : sched::ScheduleQuality::kOptimal;
+  // A search cut short — cancelled, or out of node budget — hands out its
+  // best incumbent: legal, but not proven optimal.
+  solved->quality = result->cancelled || result->budget_exhausted
+                        ? sched::ScheduleQuality::kHeuristic
+                        : sched::ScheduleQuality::kOptimal;
   const graph::OpGraph og = graph::OpGraph::Expand(
       spec.graph, spec.costs, request.regime,
       solved->schedule.iteration.variants());
@@ -303,7 +304,7 @@ Expected<SolveResult> ScheduleService::SolveWithResilience(const Job& job) {
   if (result.ok()) {
     // Watchdog-cancelled search with an incumbent: already a (quality-
     // tagged) degraded answer.
-    if ((*result)->quality == sched::ScheduleQuality::kHeuristic) {
+    if ((*result)->stats.cancelled) {
       degraded_.fetch_add(1, std::memory_order_relaxed);
     }
     return result;
@@ -389,10 +390,15 @@ void ScheduleService::RunJob(Job job) {
   if (result.ok()) {
     solve_ticks_.fetch_add((*result)->stats.wall_ticks,
                            std::memory_order_relaxed);
-    // Heuristic results are served but never cached: a later request with a
-    // generous deadline must still trigger the optimal solve.
-    if ((*result)->quality == sched::ScheduleQuality::kOptimal) {
-      cache_.Insert(*result);
+    // Results cut short by a deadline or the watchdog, and the
+    // list-scheduler fallback, are served but never cached: a later
+    // request with a generous deadline must still trigger the full solve.
+    // A budget-exhausted search is cached: the node budget is part of the
+    // key, so a repeat could not do better.
+    const SolveResult& solved = *result;
+    if (solved->quality == sched::ScheduleQuality::kOptimal ||
+        (solved->stats.budget_exhausted && !solved->stats.cancelled)) {
+      cache_.Insert(solved);
     }
   } else {
     solve_failures_.fetch_add(1, std::memory_order_relaxed);

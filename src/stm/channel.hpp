@@ -21,8 +21,7 @@
 //     circular window with O(1) in-order puts and allocation-free GC.
 //   * The minimum input frontier is cached, so Consume does not rescan
 //     connections; wakeups are suppressed when nobody waits.
-//   * PutBatch/GetBatch move several items per lock acquisition; a
-//     per-channel PayloadPool recycles payload buffers.
+//   * PutBatch/GetBatch move several items per lock acquisition.
 //
 // Thread safety: all public methods are safe to call concurrently.
 #pragma once
@@ -38,7 +37,6 @@
 #include "core/time.hpp"
 #include "stm/item.hpp"
 #include "stm/item_store.hpp"
-#include "stm/pool.hpp"
 #include "stm/ts_query.hpp"
 
 namespace ss::stm {
@@ -123,11 +121,6 @@ class Channel {
     return ring_storage_ ? StorageMode::kRing : StorageMode::kMap;
   }
 
-  /// Per-channel payload slab: producers that route allocations through
-  /// this pool recycle buffers freed by garbage collection, so the
-  /// steady-state frame loop allocates nothing.
-  PayloadPool& pool() { return pool_; }
-
   /// Attaches a new connection. Input connections participate in garbage
   /// collection; until an input connection consumes, its frontier holds all
   /// items live.
@@ -153,13 +146,6 @@ class Channel {
   Status PutValue(ConnId conn, Timestamp ts, T value,
                   PutMode mode = PutMode::kBlocking) {
     return Put(conn, ts, Payload::Make<T>(std::move(value)), mode);
-  }
-
-  /// Like PutValue but drawing the payload buffer from the channel's pool.
-  template <typename T>
-  Status PutValuePooled(ConnId conn, Timestamp ts, T value,
-                        PutMode mode = PutMode::kBlocking) {
-    return Put(conn, ts, pool_.Make<T>(std::move(value)), mode);
   }
 
   /// Retrieves an item per the query. On a failed exact get, *neighbors (if
@@ -263,7 +249,6 @@ class Channel {
   bool shutdown_ SS_GUARDED_BY(mu_) = false;
   std::optional<Timestamp> gc_frontier_ SS_GUARDED_BY(mu_);
   mutable ChannelStats stats_ SS_GUARDED_BY(mu_);
-  PayloadPool pool_;  // internally synchronized
 };
 
 }  // namespace ss::stm

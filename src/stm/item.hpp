@@ -14,8 +14,6 @@
 
 namespace ss::stm {
 
-class PayloadPool;
-
 /// A type-erased immutable payload. The deleter captured at creation time
 /// destroys the original T.
 class Payload {
@@ -28,20 +26,6 @@ class Payload {
     Payload p;
     p.size_ = sizeof(T);
     p.data_ = std::shared_ptr<const void>(owned, owned.get());
-    return p;
-  }
-
-  /// Like Make, but the buffer and control block come from (and return to)
-  /// `pool`, so steady-state producers allocate nothing. Defined in
-  /// stm/pool.hpp.
-  template <typename T>
-  static Payload MakePooled(PayloadPool& pool, T value);
-
-  /// Wraps an existing shared buffer with an explicit size in bytes.
-  static Payload Wrap(std::shared_ptr<const void> data, std::size_t size) {
-    Payload p;
-    p.data_ = std::move(data);
-    p.size_ = size;
     return p;
   }
 

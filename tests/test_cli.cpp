@@ -1,12 +1,20 @@
 // End-to-end tests of the `ssched` CLI: invoked as a subprocess against the
-// demo problem, the shipped example file, and error paths.
+// demo problem, the shipped example file, a live server, and error paths.
 #include <gtest/gtest.h>
 
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <array>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+extern char** environ;
 
 namespace {
 
@@ -151,6 +159,67 @@ TEST_F(CliTest, ServeBenchReportsServiceStats) {
   EXPECT_NE(result.output.find("req/s"), std::string::npos);
   EXPECT_NE(result.output.find("solver invocations"), std::string::npos);
   EXPECT_NE(result.output.find("0 failed"), std::string::npos);
+}
+
+TEST_F(CliTest, StatsSubcommandQueriesARunningServer) {
+  // `ssched --serve` on an ephemeral port, stdout piped back to read the
+  // port from its banner.
+  int out[2];
+  ASSERT_EQ(pipe(out), 0);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, out[0]);
+  posix_spawn_file_actions_addclose(&actions, out[1]);
+  std::vector<std::string> args = {binary_,    "--serve",   "--listen",
+                                    "127.0.0.1:0", "--workers", "1"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  const int spawned = posix_spawn(&pid, binary_.c_str(), &actions, nullptr,
+                                  argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  close(out[1]);
+  ASSERT_EQ(spawned, 0);
+  FILE* server_out = fdopen(out[0], "r");
+  ASSERT_NE(server_out, nullptr);
+
+  std::string output;
+  std::array<char, 512> line;
+  int port = 0;
+  while (port == 0 && fgets(line.data(), line.size(), server_out) != nullptr) {
+    output += line.data();
+    if (std::sscanf(line.data(), "ssched serving on 127.0.0.1:%d", &port) !=
+        1) {
+      port = 0;
+    }
+  }
+  CliResult stats;
+  if (port != 0) {
+    stats = RunCommand(binary_ + " stats 127.0.0.1:" + std::to_string(port));
+  }
+
+  // SIGINT starts a graceful drain; the server exits 0 after it.
+  kill(pid, SIGINT);
+  while (fgets(line.data(), line.size(), server_out) != nullptr) {
+    output += line.data();
+  }
+  fclose(server_out);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_NE(port, 0) << output;
+
+  EXPECT_EQ(stats.exit_code, 0) << stats.output;
+  for (const char* row : {"requests", "connections accepted",
+                          "protocol errors", "uptime", "conns"}) {
+    EXPECT_NE(stats.output.find(row), std::string::npos)
+        << row << "\n" << stats.output;
+  }
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << output;
+  EXPECT_NE(output.find("draining..."), std::string::npos) << output;
+  EXPECT_NE(output.find("0 protocol error(s)"), std::string::npos) << output;
 }
 
 TEST_F(CliTest, VerifySubcommandAuditsSnapshots) {

@@ -26,9 +26,9 @@
 
 #include "graph/graph_io.hpp"
 #include "net/async_client.hpp"
-#include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "raw_conn.hpp"
 #include "service/schedule_service.hpp"
 #include "tenant/tenant_service.hpp"
 
@@ -63,6 +63,22 @@ SolveRequestMsg SolveMsg(const std::string& tenant, int salt) {
   return msg;
 }
 
+std::vector<std::uint8_t> SolveFrame(const SolveRequestMsg& msg,
+                                     std::uint64_t request_id = 1) {
+  return EncodeFrame(MsgType::kSolve, EncodeBody(msg), kProtocolVersion2,
+                     request_id);
+}
+
+/// Decodes an error frame's wire code (kOk if it is not an error frame).
+WireError ErrorCode(const Frame& frame) {
+  ErrorResponseMsg err;
+  if (frame.type != MsgType::kError ||
+      !Decode(frame.body.data(), frame.body.size(), &err).ok()) {
+    return WireError::kOk;
+  }
+  return err.code;
+}
+
 // ---- Codec round-trips (no socket) ---------------------------------------
 
 TEST(Protocol, SolveRequestRoundTrip) {
@@ -72,7 +88,7 @@ TEST(Protocol, SolveRequestRoundTrip) {
   msg.regime = 3;
   msg.deadline_micros = 250000;
   msg.allow_degraded = true;
-  const auto frame = Encode(msg);
+  const auto frame = SolveFrame(msg);
 
   FrameDecoder decoder;
   decoder.Append(frame.data(), frame.size());
@@ -113,7 +129,7 @@ TEST(Protocol, StatsResponseRoundTrip) {
   loop.frames_received = 77;
   loop.responses_sent = 76;
   msg.loops.push_back(loop);
-  const auto frame = Encode(msg);
+  const auto frame = EncodeFrame(MsgType::kStatsOk, EncodeBody(msg));
 
   FrameDecoder decoder;
   decoder.Append(frame.data(), frame.size());
@@ -154,7 +170,7 @@ TEST(Protocol, ErrorCodesSurviveTheWire) {
     ErrorResponseMsg msg;
     msg.code = code;
     msg.message = WireErrorName(code);
-    const auto frame = Encode(msg);
+    const auto frame = EncodeFrame(MsgType::kError, EncodeBody(msg));
     FrameDecoder decoder;
     decoder.Append(frame.data(), frame.size());
     Frame out;
@@ -187,13 +203,30 @@ TEST(Protocol, StatusRoundTripIsTyped) {
             StatusCode::kCorruptArtifact);
 }
 
-// ---- FrameDecoder against hostile input ----------------------------------
+// ---- FrameDecoder: correlation ids and hostile input ---------------------
+
+TEST(FrameDecoder, FrameRoundTripsRequestId) {
+  SolveRequestMsg msg = SolveMsg("t", 1);
+  const auto frame = SolveFrame(msg, 0x0123456789abcdefULL);
+  FrameDecoder decoder;
+  decoder.Append(frame.data(), frame.size());
+  Frame out;
+  auto ready = decoder.Next(&out);
+  ASSERT_TRUE(ready.ok()) << ready.status().ToString();
+  ASSERT_TRUE(*ready);
+  EXPECT_EQ(out.request_id, 0x0123456789abcdefULL);
+  EXPECT_EQ(out.type, MsgType::kSolve);
+  SolveRequestMsg decoded;
+  ASSERT_TRUE(Decode(out.body.data(), out.body.size(), &decoded).ok());
+  EXPECT_EQ(decoded.tenant, msg.tenant);
+  EXPECT_EQ(decoder.error_code(), WireError::kOk);
+}
 
 TEST(FrameDecoder, ReassemblesByteAtATime) {
   SolveRequestMsg msg;
   msg.tenant = "t";
   msg.problem_text = "x";
-  const auto frame = Encode(msg);
+  const auto frame = SolveFrame(msg, 42);
 
   FrameDecoder decoder;
   Frame out;
@@ -206,13 +239,14 @@ TEST(FrameDecoder, ReassemblesByteAtATime) {
   decoder.Append(&frame[frame.size() - 1], 1);
   auto ready = decoder.Next(&out);
   ASSERT_TRUE(ready.ok());
-  EXPECT_TRUE(*ready);
+  ASSERT_TRUE(*ready);
   EXPECT_EQ(out.type, MsgType::kSolve);
+  EXPECT_EQ(out.request_id, 42u);
 }
 
 TEST(FrameDecoder, TwoFramesInOneChunk) {
-  const auto a = EncodeHealthRequest();
-  const auto b = EncodeStatsRequest();
+  const auto a = EncodeFrame(MsgType::kHealth, {}, kProtocolVersion2, 1);
+  const auto b = EncodeFrame(MsgType::kStats, {}, kProtocolVersion2, 2);
   std::vector<std::uint8_t> both = a;
   both.insert(both.end(), b.begin(), b.end());
 
@@ -223,10 +257,12 @@ TEST(FrameDecoder, TwoFramesInOneChunk) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(*first);
   EXPECT_EQ(out.type, MsgType::kHealth);
+  EXPECT_EQ(out.request_id, 1u);
   auto second = decoder.Next(&out);
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(*second);
   EXPECT_EQ(out.type, MsgType::kStats);
+  EXPECT_EQ(out.request_id, 2u);
   EXPECT_EQ(decoder.buffered(), 0u);
 }
 
@@ -239,6 +275,7 @@ TEST(FrameDecoder, OversizedLengthIsPermanentError) {
   auto ready = decoder.Next(&out);
   ASSERT_FALSE(ready.ok());
   EXPECT_EQ(ready.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoder.error_code(), WireError::kMalformed);
   // Sticky: feeding more bytes does not revive the stream.
   const std::uint8_t more[] = {0x01};
   decoder.Append(more, sizeof(more));
@@ -247,75 +284,42 @@ TEST(FrameDecoder, OversizedLengthIsPermanentError) {
 
 TEST(FrameDecoder, RuntLengthAndBadVersionAreErrors) {
   {
-    // length = 1: too short to hold version + type.
-    const std::uint8_t frame[] = {0x01, 0x00, 0x00, 0x00, 0x01};
+    // length = 0: no room even for the version byte.
+    const std::uint8_t frame[] = {0x00, 0x00, 0x00, 0x00};
     FrameDecoder decoder;
     decoder.Append(frame, sizeof(frame));
     Frame out;
     EXPECT_FALSE(decoder.Next(&out).ok());
+    EXPECT_EQ(decoder.error_code(), WireError::kMalformed);
   }
-  {
-    // version 9 != kProtocolVersion.
-    const std::uint8_t frame[] = {0x02, 0x00, 0x00, 0x00, 0x09, 0x04};
-    FrameDecoder decoder;
-    decoder.Append(frame, sizeof(frame));
-    Frame out;
-    EXPECT_FALSE(decoder.Next(&out).ok());
+  // Every version byte but 2 is unsupported — judged as soon as the byte
+  // arrives, whatever the length says: a v1 peer's 2-byte-header health
+  // request, a header-only prefix, and a whole v2-shaped frame alike.
+  for (int version = 0; version < 256; ++version) {
+    if (version == kProtocolVersion2) continue;
+    const auto v = static_cast<std::uint8_t>(version);
+    const std::vector<std::vector<std::uint8_t>> forged = {
+        {0x02, 0x00, 0x00, 0x00, v, 0x04},
+        {0x40, 0x00, 0x00, 0x00, v},
+        EncodeFrame(MsgType::kHealth, {}, v, 7)};
+    for (const auto& frame : forged) {
+      FrameDecoder decoder;
+      decoder.Append(frame.data(), frame.size());
+      Frame out;
+      auto ready = decoder.Next(&out);
+      ASSERT_FALSE(ready.ok()) << "version " << version;
+      EXPECT_EQ(ready.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(decoder.error_code(), WireError::kUnsupported)
+          << "version " << version;
+    }
   }
 }
 
-// ---- Protocol v2: request correlation ------------------------------------
-
-TEST(ProtocolV2, FrameRoundTripsVersionAndRequestId) {
-  SolveRequestMsg msg = SolveMsg("t", 1);
-  const auto v2 = EncodeFrame(MsgType::kSolve, EncodeBody(msg),
-                              kProtocolVersion2, 0x0123456789abcdefULL);
-  FrameDecoder decoder;
-  decoder.Append(v2.data(), v2.size());
-  Frame out;
-  auto ready = decoder.Next(&out);
-  ASSERT_TRUE(ready.ok()) << ready.status().ToString();
-  ASSERT_TRUE(*ready);
-  EXPECT_EQ(out.version, kProtocolVersion2);
-  EXPECT_EQ(out.request_id, 0x0123456789abcdefULL);
-  EXPECT_EQ(out.type, MsgType::kSolve);
-  SolveRequestMsg decoded;
-  ASSERT_TRUE(Decode(out.body.data(), out.body.size(), &decoded).ok());
-  EXPECT_EQ(decoded.tenant, msg.tenant);
-
-  // v1 frames decode with request_id 0 — the codec never invents an id.
-  const auto v1 = Encode(msg);
-  FrameDecoder v1_decoder;
-  v1_decoder.Append(v1.data(), v1.size());
-  ASSERT_TRUE(*v1_decoder.Next(&out));
-  EXPECT_EQ(out.version, kProtocolVersion);
-  EXPECT_EQ(out.request_id, 0u);
-}
-
-TEST(ProtocolV2, ReassemblesByteAtATime) {
-  const auto frame =
-      EncodeFrame(MsgType::kHealth, {}, kProtocolVersion2, 42);
-  FrameDecoder decoder;
-  Frame out;
-  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
-    decoder.Append(&frame[i], 1);
-    auto ready = decoder.Next(&out);
-    ASSERT_TRUE(ready.ok());
-    EXPECT_FALSE(*ready) << "frame complete after " << (i + 1) << " bytes";
-  }
-  decoder.Append(&frame[frame.size() - 1], 1);
-  auto ready = decoder.Next(&out);
-  ASSERT_TRUE(ready.ok());
-  ASSERT_TRUE(*ready);
-  EXPECT_EQ(out.request_id, 42u);
-  EXPECT_EQ(out.type, MsgType::kHealth);
-}
-
-TEST(ProtocolV2, TruncatedRequestIdIsTypedError) {
-  // A v2 frame whose length leaves no room for the 8-byte request_id:
-  // every length in [2, 9] is a runt. The decoder must fail typed, not
-  // read past the header.
-  for (std::uint32_t len = 2; len < 10; ++len) {
+TEST(FrameDecoder, TruncatedRequestIdIsTypedError) {
+  // A frame whose length leaves no room for the 8-byte request_id: every
+  // length in [1, 9] is a runt. The decoder must fail typed, not read past
+  // the header.
+  for (std::uint32_t len = 1; len < kFrameHeaderBytes; ++len) {
     std::vector<std::uint8_t> frame;
     frame.push_back(static_cast<std::uint8_t>(len & 0xFF));
     frame.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFF));
@@ -330,30 +334,29 @@ TEST(ProtocolV2, TruncatedRequestIdIsTypedError) {
     auto ready = decoder.Next(&out);
     ASSERT_FALSE(ready.ok()) << "len=" << len;
     EXPECT_EQ(ready.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoder.error_code(), WireError::kMalformed);
   }
 }
 
-TEST(ProtocolV2, TruncationSweepNeverCrashesDecoder) {
-  // Fuzz-ish: every strict prefix of a v2 frame is either "need more
-  // bytes" or a typed error — never a crash, never a phantom frame.
-  SolveRequestMsg msg = SolveMsg("t", 3);
-  const auto frame = EncodeFrame(MsgType::kSolve, EncodeBody(msg),
-                                 kProtocolVersion2, 7);
+TEST(FrameDecoder, TruncationSweepNeverCrashesDecoder) {
+  // Fuzz-ish: every strict prefix of a frame is either "need more bytes"
+  // or a typed error — never a crash, never a phantom frame.
+  const auto frame = SolveFrame(SolveMsg("t", 3), 7);
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     FrameDecoder decoder;
     decoder.Append(frame.data(), cut);
     Frame out;
     auto ready = decoder.Next(&out);
-    if (ready.ok()) EXPECT_FALSE(*ready) << "cut=" << cut;
+    if (ready.ok()) {
+      EXPECT_FALSE(*ready) << "cut=" << cut;
+    }
   }
 }
 
 TEST(WireReaderTest, TruncatedAndTrailingBodiesFailDecode) {
-  SolveRequestMsg msg = SolveMsg("t", 1);
-  const auto frame = Encode(msg);
-  // Body starts after [u32 length][u8 version][u8 type].
-  const std::uint8_t* body = frame.data() + 6;
-  const std::size_t body_size = frame.size() - 6;
+  const std::vector<std::uint8_t> encoded = EncodeBody(SolveMsg("t", 1));
+  const std::uint8_t* body = encoded.data();
+  const std::size_t body_size = encoded.size();
 
   SolveRequestMsg out;
   ASSERT_TRUE(Decode(body, body_size, &out).ok());
@@ -394,7 +397,8 @@ struct TestServer {
     service.Shutdown();
   }
 
-  Status StartAndConnect(Client* client) {
+  template <typename ClientT>
+  Status StartAndConnect(ClientT* client) {
     SS_RETURN_IF_ERROR(server.Start());
     return client->Connect("127.0.0.1", server.port());
   }
@@ -414,7 +418,7 @@ tenant::TenantSchedulerOptions Dispatchers(int n) {
 
 TEST(NetServer, SolveLookupStatsHealthHappyPath) {
   TestServer ts(Workers(2), Dispatchers(2));
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   auto health = client.Health();
@@ -469,7 +473,7 @@ TEST(NetServer, SolveLookupStatsHealthHappyPath) {
 TEST(NetServer, DeadlineExceededRoundTripsTyped) {
   // Paused service: the dispatched solve can only end by deadline.
   TestServer ts(Workers(0), Dispatchers(1));
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   SolveRequestMsg msg = SolveMsg("alice", 2);
@@ -486,14 +490,14 @@ TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
   tenant::TenantSchedulerOptions tenant_options = Dispatchers(0);
   tenant_options.registry.default_config.queue_capacity = 1;
   TestServer ts(Workers(0), std::move(tenant_options));
-  Client parked;
+  RawConn parked;
   ASSERT_TRUE(ts.StartAndConnect(&parked).ok());
 
-  const auto first = Encode(SolveMsg("bob", 3));
+  const auto first = SolveFrame(SolveMsg("bob", 3));
   ASSERT_TRUE(parked.SendBytes(first.data(), first.size()).ok());
 
   // Wait until the server has admitted the first solve into bob's lane.
-  Client stats_client;
+  AsyncClient stats_client;
   ASSERT_TRUE(stats_client.Connect("127.0.0.1", ts.server.port()).ok());
   bool parked_visible = false;
   for (int i = 0; i < 200 && !parked_visible; ++i) {
@@ -508,7 +512,7 @@ TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
   }
   ASSERT_TRUE(parked_visible);
 
-  Client second;
+  AsyncClient second;
   ASSERT_TRUE(second.Connect("127.0.0.1", ts.server.port()).ok());
   auto full = second.Solve(SolveMsg("bob", 4));
   ASSERT_FALSE(full.ok());
@@ -516,9 +520,12 @@ TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
       << full.status().ToString();
 
   // Backpressure is per-tenant: carol's solve parks in her own lane
-  // instead of bouncing (sent raw — with no dispatchers it never answers).
-  const auto carol = Encode(SolveMsg("carol", 5));
-  ASSERT_TRUE(second.SendBytes(carol.data(), carol.size()).ok());
+  // instead of bouncing (submitted without waiting — with no dispatchers
+  // it never answers).
+  ASSERT_TRUE(second
+                  .Submit(MsgType::kSolve, EncodeBody(SolveMsg("carol", 5)),
+                          [](Expected<Frame>) {})
+                  .ok());
   bool carol_parked = false;
   for (int i = 0; i < 200 && !carol_parked; ++i) {
     auto stats = stats_client.Stats();
@@ -539,7 +546,7 @@ TEST(NetServer, AdmissionRejectionRoundTripsTyped) {
   tenant_options.registry.default_config.rate_per_sec = 0.0001;
   tenant_options.registry.default_config.burst = 1.0;
   TestServer ts(Workers(2), std::move(tenant_options));
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   auto first = client.Solve(SolveMsg("dave", 6));
@@ -563,7 +570,7 @@ TEST(NetServer, CorruptArtifactRoundTripsTyped) {
     return CorruptArtifactError("injected corrupt artifact");
   };
   TestServer ts(std::move(service_options), Dispatchers(1));
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   auto result = client.Solve(SolveMsg("erin", 8));
@@ -577,7 +584,7 @@ TEST(NetServer, UnknownTenantRoundTripsTyped) {
   tenant_options.registry.auto_register = false;
   TestServer ts(Workers(2), std::move(tenant_options));
   ASSERT_TRUE(ts.tenants.RegisterTenant({.name = "known"}).ok());
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   auto solve = client.Solve(SolveMsg("ghost", 9));
@@ -601,7 +608,7 @@ TEST(NetServer, UnknownTenantRoundTripsTyped) {
 
 TEST(NetServer, BadProblemTextIsMalformedButConnectionSurvives) {
   TestServer ts(Workers(2), Dispatchers(1));
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   SolveRequestMsg bad;
@@ -624,63 +631,97 @@ TEST(NetServer, BadProblemTextIsMalformedButConnectionSurvives) {
 
 TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
   TestServer ts(Workers(0), Dispatchers(0));
-  Client client;
-  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+  ASSERT_TRUE(ts.server.Start().ok());
 
-  // Valid length prefix, wrong protocol version.
-  const std::uint8_t bad_version[] = {0x02, 0x00, 0x00, 0x00, 0x09, 0x04};
-  ASSERT_TRUE(client.SendBytes(bad_version, sizeof(bad_version)).ok());
-  auto frame = client.ReadFrame();
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  ASSERT_EQ(frame->type, MsgType::kError);
-  ErrorResponseMsg err;
-  ASSERT_TRUE(Decode(frame->body.data(), frame->body.size(), &err).ok());
-  EXPECT_EQ(err.code, WireError::kMalformed);
-  // The stream is unrecoverable; the server closes it.
-  auto closed = client.ReadFrame();
-  ASSERT_FALSE(closed.ok());
-  EXPECT_EQ(closed.status().code(), StatusCode::kCancelled);
-  EXPECT_GE(ts.server.Stats().protocol_errors, 1u);
+  // A valid length prefix with any version byte but 2 — 1 is the retired
+  // v1 layout — gets exactly one UNSUPPORTED frame (request_id 0: the
+  // bytes never became a request), then the server closes the stream.
+  for (const int version : {0, 1, 3, 9, 0x80, 0xFF}) {
+    RawConn client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
+    const std::uint8_t bad_version[] = {
+        0x02, 0x00, 0x00, 0x00, static_cast<std::uint8_t>(version), 0x04};
+    ASSERT_TRUE(client.SendBytes(bad_version, sizeof(bad_version)).ok());
+    auto frame = client.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(ErrorCode(*frame), WireError::kUnsupported)
+        << "version " << version;
+    EXPECT_EQ(frame->request_id, 0u);
+    auto closed = client.ReadFrame();
+    ASSERT_FALSE(closed.ok());
+    EXPECT_EQ(closed.status().code(), StatusCode::kCancelled);
+  }
+  EXPECT_EQ(ts.server.Stats().protocol_errors, 6u);
+}
+
+TEST(NetServer, V1ClientIsRefusedAndV2ClientIsServed) {
+  ServerOptions server_options = TestServer::FastDrain();
+  server_options.loop_threads = 2;
+  TestServer ts(Workers(2), Dispatchers(2), std::move(server_options));
+  ASSERT_TRUE(ts.server.Start().ok());
+
+  // A v1 client's first frame: [u32 length][u8 version=1][u8 type][body],
+  // no request_id.
+  const std::vector<std::uint8_t> body = EncodeBody(SolveMsg("alice", 36));
+  std::vector<std::uint8_t> v1_frame;
+  WireWriter w(&v1_frame);
+  w.U32(static_cast<std::uint32_t>(2 + body.size()));
+  w.U8(1);
+  w.U8(static_cast<std::uint8_t>(MsgType::kSolve));
+  v1_frame.insert(v1_frame.end(), body.begin(), body.end());
+
+  RawConn v1;
+  ASSERT_TRUE(v1.Connect("127.0.0.1", ts.server.port()).ok());
+  ASSERT_TRUE(v1.SendBytes(v1_frame.data(), v1_frame.size()).ok());
+  auto refused = v1.ReadFrame();
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(ErrorCode(*refused), WireError::kUnsupported);
+  EXPECT_FALSE(v1.ReadFrame().ok());  // closed after the one error frame
+
+  AsyncClient v2;
+  ASSERT_TRUE(v2.Connect("127.0.0.1", ts.server.port()).ok());
+  auto cold = v2.Solve(SolveMsg("alice", 36));
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold->cache_hit);  // the refused v1 solve never ran
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(v2.Health().ok());
+  auto stats = v2.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->protocol_errors, 1u);
+  EXPECT_EQ(stats->requests, 1u);
 }
 
 TEST(NetServer, UnknownTypeAndNonEmptyHealthBodyAreRejected) {
   TestServer ts(Workers(0), Dispatchers(0));
   {
-    Client client;
+    RawConn client;
     ASSERT_TRUE(ts.StartAndConnect(&client).ok());
     // Unknown message type 42.
     const auto frame = EncodeFrame(static_cast<MsgType>(42), {});
     ASSERT_TRUE(client.SendBytes(frame.data(), frame.size()).ok());
     auto reply = client.ReadFrame();
     ASSERT_TRUE(reply.ok());
-    ASSERT_EQ(reply->type, MsgType::kError);
-    ErrorResponseMsg err;
-    ASSERT_TRUE(Decode(reply->body.data(), reply->body.size(), &err).ok());
-    EXPECT_EQ(err.code, WireError::kUnsupported);
+    EXPECT_EQ(ErrorCode(*reply), WireError::kUnsupported);
   }
   {
-    Client client;
+    RawConn client;
     ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
     // Health request must have an empty body; trailing bytes are malformed.
     const auto frame = EncodeFrame(MsgType::kHealth, {0x01, 0x02});
     ASSERT_TRUE(client.SendBytes(frame.data(), frame.size()).ok());
     auto reply = client.ReadFrame();
     ASSERT_TRUE(reply.ok());
-    ASSERT_EQ(reply->type, MsgType::kError);
-    ErrorResponseMsg err;
-    ASSERT_TRUE(Decode(reply->body.data(), reply->body.size(), &err).ok());
-    EXPECT_EQ(err.code, WireError::kMalformed);
+    EXPECT_EQ(ErrorCode(*reply), WireError::kMalformed);
   }
 }
 
 TEST(NetServer, PartialWritesReassembleIntoOneRequest) {
   TestServer ts(Workers(2), Dispatchers(1));
-  Client client;
+  RawConn client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
   // Dribble a valid solve frame a few bytes at a time across many TCP
   // segments; the incremental decoder must see exactly one request.
-  const auto frame = Encode(SolveMsg("alice", 11));
+  const auto frame = SolveFrame(SolveMsg("alice", 11));
   for (std::size_t off = 0; off < frame.size(); off += 7) {
     const std::size_t n = std::min<std::size_t>(7, frame.size() - off);
     ASSERT_TRUE(client.SendBytes(frame.data() + off, n).ok());
@@ -697,9 +738,7 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   ServerOptions options = TestServer::FastDrain();
   options.idle_timeout = ticks::FromMillis(100);
   TestServer ts(Workers(0), Dispatchers(0), std::move(options));
-  ClientOptions client_options;
-  client_options.io_timeout = ticks::FromSeconds(5);
-  Client idle(client_options);
+  RawConn idle(ticks::FromSeconds(5));
   ASSERT_TRUE(ts.server.Start().ok());
   ASSERT_TRUE(idle.Connect("127.0.0.1", ts.server.port()).ok());
 
@@ -711,10 +750,10 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   EXPECT_EQ(ts.server.Stats().idle_closed, 1u);
 }
 
-// Satellite regression: signals without SA_RESTART landing mid-syscall
-// must not surface as spurious I/O errors. Covers connect() (EINTR leaves
-// the handshake in flight; the client must wait it out via poll +
-// SO_ERROR) and send()/recv() restarts.
+// Regression: signals without SA_RESTART landing mid-syscall must not
+// surface as spurious I/O errors. Covers connect() (EINTR leaves the
+// handshake in flight; the client must wait it out via poll + SO_ERROR),
+// send() restarts and the blocking verbs' wait for the reader thread.
 void IgnoreSignal(int) {}
 
 TEST(NetClient, SurvivesSignalStormDuringRoundTrips) {
@@ -738,13 +777,13 @@ TEST(NetClient, SurvivesSignalStormDuringRoundTrips) {
   });
 
   for (int i = 0; i < 25; ++i) {
-    Client client;
+    AsyncClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok())
         << "iteration " << i;
     auto health = client.Health();
     EXPECT_TRUE(health.ok()) << health.status().ToString();
   }
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
   auto solve = client.Solve(SolveMsg("alice", 13));
   EXPECT_TRUE(solve.ok()) << solve.status().ToString();
@@ -782,7 +821,7 @@ TEST(NetServer, DrainFlushesResponsesBufferedBehindSlowReader) {
             0);
 
   constexpr std::uint64_t kRequests = 4000;
-  const auto health = EncodeHealthRequest();
+  const auto health = EncodeFrame(MsgType::kHealth, {}, kProtocolVersion2, 1);
   std::vector<std::uint8_t> burst;
   burst.reserve(health.size() * kRequests);
   for (std::uint64_t i = 0; i < kRequests; ++i) {
@@ -836,7 +875,7 @@ TEST(NetServer, DrainFlushesResponsesBufferedBehindSlowReader) {
   EXPECT_EQ(received, kRequests);
 }
 
-// ---- AsyncClient: pipelined protocol v2 ----------------------------------
+// ---- AsyncClient: pipelined requests --------------------------------------
 
 TEST(AsyncClientTest, BlockingVerbsRoundTripOverV2) {
   TestServer ts(Workers(2), Dispatchers(2));
@@ -875,9 +914,8 @@ TEST(AsyncClientTest, BlockingVerbsRoundTripOverV2) {
 
 TEST(AsyncClientTest, ResponsesCompleteOutOfOrder) {
   // Paused workers: the solve can only finish via its 400 ms deadline,
-  // while health is answered inline. On v1 the pipelined health response
-  // would conceptually queue behind nothing (it is inline), but the solve
-  // response correlation is what lets the client pair them out of order.
+  // while health is answered inline; request_id correlation is what lets
+  // the client pair the two responses out of order.
   TestServer ts(Workers(0), Dispatchers(1));
   ASSERT_TRUE(ts.server.Start().ok());
   AsyncClient client;
@@ -984,9 +1022,9 @@ TEST(NetMultiLoop, RoundRobinSpreadsConnectionsAndStatsRollUp) {
   // 8 connections over 4 loops: round-robin handoff puts exactly 2 on
   // each. A completed health round-trip proves each connection was
   // adopted by its loop (the response had to come from somewhere).
-  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::unique_ptr<AsyncClient>> clients;
   for (int i = 0; i < 8; ++i) {
-    auto client = std::make_unique<Client>();
+    auto client = std::make_unique<AsyncClient>();
     ASSERT_TRUE(client->Connect("127.0.0.1", ts.server.port()).ok());
     auto health = client->Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -1014,43 +1052,15 @@ TEST(NetMultiLoop, RoundRobinSpreadsConnectionsAndStatsRollUp) {
   EXPECT_EQ(stats->connections_active, 8u);
 }
 
-TEST(NetMultiLoop, MixedVersionClientsInterleaveCleanly) {
-  ServerOptions server_options = TestServer::FastDrain();
-  server_options.loop_threads = 2;
-  TestServer ts(Workers(2), Dispatchers(2), std::move(server_options));
-  ASSERT_TRUE(ts.server.Start().ok());
-
-  Client v1;
-  AsyncClient v2;
-  ASSERT_TRUE(v1.Connect("127.0.0.1", ts.server.port()).ok());
-  ASSERT_TRUE(v2.Connect("127.0.0.1", ts.server.port()).ok());
-
-  auto cold = v1.Solve(SolveMsg("alice", 36));
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  auto warm = v2.Solve(SolveMsg("alice", 36));
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_TRUE(warm->cache_hit);
-  EXPECT_EQ(warm->summary.fingerprint_hex, cold->summary.fingerprint_hex);
-
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(v1.Health().ok());
-    ASSERT_TRUE(v2.Health().ok());
-  }
-  auto stats = v2.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->protocol_errors, 0u);
-  EXPECT_EQ(ts.server.Stats().protocol_errors, 0u);
-}
-
 TEST(NetMultiLoop, StopDrainsEveryLoop) {
   ServerOptions server_options = TestServer::FastDrain();
   server_options.loop_threads = 3;
   TestServer ts(Workers(2), Dispatchers(2), std::move(server_options));
   ASSERT_TRUE(ts.server.Start().ok());
 
-  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::unique_ptr<AsyncClient>> clients;
   for (int i = 0; i < 6; ++i) {
-    auto client = std::make_unique<Client>();
+    auto client = std::make_unique<AsyncClient>();
     ASSERT_TRUE(client->Connect("127.0.0.1", ts.server.port()).ok());
     ASSERT_TRUE(client->Health().ok());
     clients.push_back(std::move(client));
@@ -1063,9 +1073,13 @@ TEST(NetMultiLoop, StopDrainsEveryLoop) {
 
 TEST(NetServer, DrainRefusesNewSolvesAndReportsDraining) {
   TestServer ts(Workers(2), Dispatchers(1));
-  Client client;
+  RawConn client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
-  ASSERT_TRUE(client.Solve(SolveMsg("alice", 12)).ok());
+  const auto solve = SolveFrame(SolveMsg("alice", 12));
+  ASSERT_TRUE(client.SendBytes(solve.data(), solve.size()).ok());
+  auto solved = client.ReadFrame();
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_EQ(solved->type, MsgType::kSolveOk);
 
   // Stop() from another thread while the connection stays open: the
   // server must finish the drain without hanging, and the client sees

@@ -22,10 +22,10 @@
 #include "graph/graph_io.hpp"
 #include "net/async_client.hpp"
 #include "net/chaos.hpp"
-#include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/resilient_client.hpp"
 #include "net/server.hpp"
+#include "raw_conn.hpp"
 #include "service/schedule_service.hpp"
 #include "tenant/tenant_service.hpp"
 
@@ -53,6 +53,18 @@ SolveRequestMsg SolveMsg(const std::string& tenant, int salt) {
   msg.problem_text = ProblemText(salt);
   msg.regime = 0;
   return msg;
+}
+
+std::vector<std::uint8_t> SolveFrame(const SolveRequestMsg& msg,
+                                     std::uint64_t request_id) {
+  return EncodeFrame(MsgType::kSolve, EncodeBody(msg), kProtocolVersion2,
+                     request_id);
+}
+
+AsyncClientOptions Timeout(Tick io_timeout) {
+  AsyncClientOptions options;
+  options.io_timeout = io_timeout;
+  return options;
 }
 
 struct TestServer {
@@ -109,7 +121,7 @@ TEST(ChaosProxy, DefaultPlanIsTransparent) {
   ChaosProxy proxy(ChaosPlan{}, "127.0.0.1", ts.server.port());
   ASSERT_TRUE(proxy.Start().ok());
 
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
   auto health = client.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -142,7 +154,7 @@ TEST(ChaosProxy, DribbledBytesReassembleIntoWholeFrames) {
   ChaosProxy proxy(plan, "127.0.0.1", ts.server.port());
   ASSERT_TRUE(proxy.Start().ok());
 
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
   auto solve = client.Solve(SolveMsg("alice", 2));
   ASSERT_TRUE(solve.ok()) << solve.status().ToString();
@@ -162,7 +174,7 @@ TEST(ChaosProxy, DelayedDeliveryStillCompletes) {
   ChaosProxy proxy(plan, "127.0.0.1", ts.server.port());
   ASSERT_TRUE(proxy.Start().ok());
 
-  Client client;
+  AsyncClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
   auto health = client.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -190,9 +202,7 @@ TEST(ChaosProxy, FlippedBytesSurfaceAsTypedOutcomesNeverCrashes) {
   // hanging is not.
   int outcomes = 0;
   for (int i = 0; i < 8; ++i) {
-    ClientOptions copts;
-    copts.io_timeout = ticks::FromSeconds(5);
-    Client client(copts);
+    AsyncClient client(Timeout(ticks::FromSeconds(5)));
     ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
     auto solve = client.Solve(SolveMsg("alice", 3));
     ++outcomes;  // ok or a typed Status; Solve returned exactly once
@@ -205,7 +215,7 @@ TEST(ChaosProxy, FlippedBytesSurfaceAsTypedOutcomesNeverCrashes) {
   proxy.Stop();
 
   // The server survived all of it: a clean direct connection works.
-  Client direct;
+  AsyncClient direct;
   ASSERT_TRUE(direct.Connect("127.0.0.1", ts.server.port()).ok());
   auto health = direct.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -228,9 +238,7 @@ TEST(ChaosProxy, PhaseResetsAreTypedOnThePlainClient) {
   // be a typed, retryable transport error.
   int failures = 0;
   for (int i = 0; i < 8; ++i) {
-    ClientOptions copts;
-    copts.io_timeout = ticks::FromMillis(500);
-    Client client(copts);
+    AsyncClient client(Timeout(ticks::FromMillis(500)));
     Status st = client.Connect("127.0.0.1", proxy.port());
     if (!st.ok()) continue;  // RST raced the connect; typed already
     for (int r = 0; r < 4; ++r) {
@@ -332,9 +340,7 @@ TEST(ChaosProxy, SlowlorisStallIsReapedByReadProgressIdleEnforcement) {
   ChaosProxy proxy(plan, "127.0.0.1", ts.server.port());
   ASSERT_TRUE(proxy.Start().ok());
 
-  ClientOptions copts;
-  copts.io_timeout = ticks::FromSeconds(5);
-  Client client(copts);
+  AsyncClient client(Timeout(ticks::FromSeconds(5)));
   ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
   // The request dies mid-frame inside the proxy; the server must not wait
   // forever on a half-received frame — no complete frame ever arrives, so
@@ -361,14 +367,14 @@ TEST(NetChaos, OverloadShedsWithTypedErrorAndCounter) {
   TestServer ts(Workers(0), Dispatchers(0), std::move(server_options));
   ASSERT_TRUE(ts.server.Start().ok());
 
-  Client parked;
+  RawConn parked;
   ASSERT_TRUE(parked.Connect("127.0.0.1", ts.server.port()).ok());
   for (int salt = 0; salt < 2; ++salt) {
-    const auto frame = Encode(SolveMsg("alice", 20 + salt));
+    const auto frame = SolveFrame(SolveMsg("alice", 20 + salt), 1 + salt);
     ASSERT_TRUE(parked.SendBytes(frame.data(), frame.size()).ok());
   }
   // Wait until both solves are admitted (visible as queued work).
-  Client stats_client;
+  AsyncClient stats_client;
   ASSERT_TRUE(stats_client.Connect("127.0.0.1", ts.server.port()).ok());
   bool both_parked = false;
   for (int i = 0; i < 200 && !both_parked; ++i) {
@@ -383,7 +389,7 @@ TEST(NetChaos, OverloadShedsWithTypedErrorAndCounter) {
   }
   ASSERT_TRUE(both_parked);
 
-  Client third;
+  AsyncClient third;
   ASSERT_TRUE(third.Connect("127.0.0.1", ts.server.port()).ok());
   auto shed = third.Solve(SolveMsg("alice", 30));
   ASSERT_FALSE(shed.ok());
@@ -407,18 +413,19 @@ TEST(NetChaos, PerConnectionInflightCapSheds) {
   TestServer ts(Workers(0), Dispatchers(0), std::move(server_options));
   ASSERT_TRUE(ts.server.Start().ok());
 
-  Client client;
+  RawConn client;
   ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
   // Pipeline two solves back-to-back: the first parks (paused pipeline),
   // the second exceeds the per-connection cap and bounces typed. The
   // error frame is the only response that can arrive.
   for (int salt = 0; salt < 2; ++salt) {
-    const auto frame = Encode(SolveMsg("bob", 40 + salt));
+    const auto frame = SolveFrame(SolveMsg("bob", 40 + salt), 1 + salt);
     ASSERT_TRUE(client.SendBytes(frame.data(), frame.size()).ok());
   }
   auto frame = client.ReadFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   ASSERT_EQ(frame->type, MsgType::kError);
+  EXPECT_EQ(frame->request_id, 2u);
   ErrorResponseMsg err;
   ASSERT_TRUE(Decode(frame->body.data(), frame->body.size(), &err).ok());
   EXPECT_EQ(err.code, WireError::kOverloaded);
@@ -434,11 +441,11 @@ TEST(NetChaos, TruncationAndCorruptionSweepThroughProxy) {
   ChaosProxy proxy(plan, "127.0.0.1", ts.server.port());
   ASSERT_TRUE(proxy.Start().ok());
 
-  const auto frame = Encode(SolveMsg("alice", 8));
+  const auto frame = SolveFrame(SolveMsg("alice", 8), 1);
   // Truncations: every prefix boundary (stride to keep runtime sane),
   // connection closed mid-frame. The server must survive each one.
   for (std::size_t cut = 1; cut < frame.size(); cut += 7) {
-    Client client;
+    RawConn client;
     ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
     ASSERT_TRUE(client.SendBytes(frame.data(), cut).ok());
     client.Close();
@@ -449,9 +456,7 @@ TEST(NetChaos, TruncationAndCorruptionSweepThroughProxy) {
   for (std::size_t pos = 0; pos < frame.size(); pos += 5) {
     std::vector<std::uint8_t> corrupt = frame;
     corrupt[pos] ^= 0x40;
-    ClientOptions copts;
-    copts.io_timeout = ticks::FromSeconds(2);
-    Client client(copts);
+    RawConn client(ticks::FromSeconds(2));
     ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()).ok());
     ASSERT_TRUE(client.SendBytes(corrupt.data(), corrupt.size()).ok());
     auto reply = client.ReadFrame();  // typed success, error, or close
@@ -463,7 +468,7 @@ TEST(NetChaos, TruncationAndCorruptionSweepThroughProxy) {
   proxy.Stop();
 
   // Post-sweep: the server is healthy and leaked no connections.
-  Client direct;
+  AsyncClient direct;
   ASSERT_TRUE(direct.Connect("127.0.0.1", ts.server.port()).ok());
   auto health = direct.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -536,7 +541,7 @@ TEST(NetChaos, SixtyFourSeedSoak) {
 
   // Post-chaos: clean direct round-trip and zero leaked connections.
   EXPECT_TRUE(DrainsToZeroConnections(ts.server));
-  Client direct;
+  AsyncClient direct;
   ASSERT_TRUE(direct.Connect("127.0.0.1", ts.server.port()).ok());
   auto health = direct.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -673,81 +678,10 @@ TEST(NetChaosV2, FlippedBytesAreTypedOutcomesOnThePipelinedClient) {
   EXPECT_GT(proxy.Stats().flipped_bytes, 0u);
   proxy.Stop();
 
-  Client direct;
+  AsyncClient direct;
   ASSERT_TRUE(direct.Connect("127.0.0.1", ts.server.port()).ok());
   auto health = direct.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
-}
-
-// ---- Mixed-version soak --------------------------------------------------
-
-// One server, one v1 client thread and one pipelined v2 client thread
-// hammering it concurrently. Version latching is per connection, so the
-// streams must never interfere: zero protocol errors, every request a
-// typed outcome.
-TEST(NetChaosV2, MixedVersionSoakAgainstOneServer) {
-  TestServer ts(Workers(2), Dispatchers(2));
-  ASSERT_TRUE(ts.server.Start().ok());
-
-  constexpr int kRounds = 100;
-  // Seed the cache so the pipelined burst is hits: an unseeded burst of 64
-  // identical cold problems would (correctly) overflow the tenant queue
-  // with typed kWouldBlock backpressure, which is not what this test is
-  // about.
-  {
-    Client seeder;
-    ASSERT_TRUE(seeder.Connect("127.0.0.1", ts.server.port()).ok());
-    for (int salt = 70; salt < 73; ++salt) {
-      ASSERT_TRUE(seeder.Solve(SolveMsg("soak", salt)).ok());
-    }
-  }
-
-  std::atomic<int> v1_failures{0};
-  std::thread v1_thread([&] {
-    Client client;
-    if (!client.Connect("127.0.0.1", ts.server.port()).ok()) {
-      v1_failures.fetch_add(kRounds);
-      return;
-    }
-    for (int i = 0; i < kRounds; ++i) {
-      auto solve = client.Solve(SolveMsg("soak", 70 + (i % 3)));
-      if (!solve.ok()) v1_failures.fetch_add(1);
-      if (i % 10 == 0 && !client.Health().ok()) v1_failures.fetch_add(1);
-    }
-  });
-
-  std::atomic<int> v2_failures{0};
-  std::thread v2_thread([&] {
-    AsyncClient client;
-    if (!client.Connect("127.0.0.1", ts.server.port()).ok()) {
-      v2_failures.fetch_add(kRounds);
-      return;
-    }
-    std::atomic<int> done_count{0};
-    for (int i = 0; i < kRounds; ++i) {
-      client.SolveAsync(SolveMsg("soak", 70 + (i % 3)),
-                        [&](Expected<SolveResponseMsg> result) {
-                          if (!result.ok()) v2_failures.fetch_add(1);
-                          done_count.fetch_add(1);
-                        });
-    }
-    for (int i = 0; i < 2000 && done_count.load() < kRounds; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (done_count.load() < kRounds) v2_failures.fetch_add(1000);
-  });
-
-  v1_thread.join();
-  v2_thread.join();
-  EXPECT_EQ(v1_failures.load(), 0);
-  EXPECT_EQ(v2_failures.load(), 0);
-
-  Client direct;
-  ASSERT_TRUE(direct.Connect("127.0.0.1", ts.server.port()).ok());
-  auto stats = direct.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->protocol_errors, 0u);
-  EXPECT_GE(stats->frames_received, static_cast<std::uint64_t>(2 * kRounds));
 }
 
 }  // namespace

@@ -201,6 +201,29 @@ TEST(ScheduleServiceTest, CacheHitReturnsScheduleIdenticalToFreshSolve) {
   EXPECT_EQ(stats.cache_hits, 1u);
 }
 
+TEST(ScheduleServiceTest, BudgetExhaustedSolveIsHeuristicAndCached) {
+  ScheduleService service(Opts(1));
+  SolveRequest request;
+  request.problem = MakeProblem(0);
+  request.options.max_nodes = 1;  // guarantees budget exhaustion
+
+  auto first = service.Solve(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE((*first)->stats.budget_exhausted);
+  // The search stopped early, so its answer is not proven optimal.
+  EXPECT_EQ((*first)->quality, sched::ScheduleQuality::kHeuristic);
+
+  // The node budget is part of the request key: a repeat could not do
+  // better, so it is served from the cache instead of searching again.
+  auto second = service.Solve(request);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->get(), second->get());
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
+}
+
 TEST(ScheduleServiceTest, SingleFlightUnderConcurrentMixedLoad) {
   // 8 threads x 100 mixed requests over 5 distinct problems must cost
   // exactly 5 solver invocations: every other request is a cache hit or

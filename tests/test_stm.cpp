@@ -595,44 +595,6 @@ TEST(ChannelBatchTest, GetBatchOnOutputConnectionFails) {
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// ---- pooled payloads -------------------------------------------------------------
-
-TEST(ChannelPoolTest, PutValuePooledRoundTrips) {
-  Channel ch(ChannelId(0), "p", ChannelOptions{8});
-  ConnId out = ch.Attach(ConnDir::kOutput);
-  ConnId in = ch.Attach(ConnDir::kInput);
-  ASSERT_TRUE(ch.PutValuePooled<int>(out, 1, 42).ok());
-  auto item = ch.Get(in, TsQuery::Exact(1), GetMode::kNonBlocking);
-  ASSERT_TRUE(item.ok());
-  EXPECT_EQ(*item->payload.As<int>(), 42);
-  EXPECT_GE(ch.pool().stats().allocations, 1u);
-}
-
-TEST(ChannelPoolTest, PoolRecyclesReclaimedBuffers) {
-  Channel ch(ChannelId(0), "p", ChannelOptions{4});
-  ConnId out = ch.Attach(ConnDir::kOutput);
-  ConnId in = ch.Attach(ConnDir::kInput);
-  for (Timestamp t = 0; t < 64; ++t) {
-    ASSERT_TRUE(ch.PutValuePooled<int>(out, t, static_cast<int>(t)).ok());
-    auto item = ch.Get(in, TsQuery::Exact(t), GetMode::kNonBlocking);
-    ASSERT_TRUE(item.ok());
-    ASSERT_TRUE(ch.Consume(in, t).ok());
-  }
-  auto stats = ch.pool().stats();
-  EXPECT_GT(stats.reuses, 0u);
-  // Steady state: the working set of buffers is bounded, not 64 deep.
-  EXPECT_LT(stats.allocations, 16u);
-}
-
-TEST(ChannelPoolTest, PayloadOutlivesPool) {
-  Payload escaped;
-  {
-    PayloadPool pool;
-    escaped = Payload::MakePooled<int>(pool, 7);
-  }
-  EXPECT_EQ(*escaped.As<int>(), 7);
-}
-
 // ---- wakeup discipline and stats -------------------------------------------------
 
 TEST(ChannelStatsTest, NotifySuppressedWithoutWaiters) {

@@ -58,7 +58,7 @@ TEST_P(StmStress, InvariantHoldsUnderRandomizedTraffic) {
           (void)ch.PutBatch(
               out, {Item{ts, Payload::Make<int>(i)}}, mode);
         } else if (rng.NextBelow(2) == 0) {
-          (void)ch.PutValuePooled<int>(out, ts, i, mode);
+          (void)ch.PutValue<int>(out, ts, i, mode);
         } else {
           (void)ch.Put(out, ts, Payload::Make<int>(i), mode);
         }

@@ -26,7 +26,7 @@
 
 #include "graph/graph_io.hpp"
 #include "graph/op_graph.hpp"
-#include "net/client.hpp"
+#include "net/async_client.hpp"
 #include "net/server.hpp"
 #include "regime/regime.hpp"
 #include "sched/list_scheduler.hpp"
@@ -408,9 +408,9 @@ int StatsCommand(int argc, char** argv) {
   if (!ParseListenAddr(argv[1], &host, &port) || port == 0) {
     return 2;
   }
-  net::ClientOptions copts;
+  net::AsyncClientOptions copts;
   copts.io_timeout = ticks::FromSeconds(5);
-  net::Client client(copts);
+  net::AsyncClient client(copts);
   Status connected = client.Connect(host, port);
   if (!connected.ok()) {
     std::fprintf(stderr, "error: %s\n", connected.ToString().c_str());
