@@ -1,7 +1,10 @@
 // Microbenchmark of the work-stealing branch-and-bound solver: serial vs
 // 2/4/8 threads on a small synthetic DAG, a medium and a large synthetic
 // DAG (the large tier is the "2-3x bigger exact solve" target), and the
-// paper's kiosk graph with its full variant odometer.
+// paper's kiosk graph with its full variant odometer. The cold_mix tier
+// times serial solves of a seeded batch of small problems, the regime a
+// cold schedule server spends its CPU in, where the fixed cost per solve
+// (seeding, reporting the optimal set) weighs as much as the search.
 //
 // The acceptance target for the parallel solver is a >=2x median speedup at
 // 4 threads on the medium problem -- only meaningful on a multi-core host;
@@ -124,6 +127,65 @@ Case Kiosk(const bench::PaperSetup& setup) {
   return c;
 }
 
+/// The cold_mix tier: a seeded batch of the small problems a cold schedule
+/// server solves (the mix perfbench's `cold` workload sends): half chains
+/// of 4-6 tasks, a quarter 2-way fork-joins, a quarter 2-layer width-2
+/// DAGs, on two processors with the default communication model.
+constexpr std::size_t kColdMixProblems = 200;
+constexpr int kColdMixSamples = 10;
+
+std::vector<graph::SyntheticProblem> ColdMix() {
+  std::vector<graph::SyntheticProblem> problems;
+  problems.reserve(kColdMixProblems);
+  for (std::uint64_t i = 0; i < kColdMixProblems; ++i) {
+    Rng rng(0xC01D0000ULL + i);
+    graph::SyntheticOptions gen;
+    gen.max_width = 2;
+    gen.layers = 2;
+    const std::uint64_t family = rng.NextBelow(4);
+    if (family < 2) {
+      problems.push_back(graph::MakeChain(
+          rng, 4 + static_cast<int>(rng.NextBelow(3)), gen));
+    } else if (family == 2) {
+      problems.push_back(graph::MakeForkJoin(rng, 2, gen));
+    } else {
+      problems.push_back(graph::MakeLayered(rng, gen));
+    }
+  }
+  return problems;
+}
+
+/// Times serial solves of the whole cold_mix batch; the record is the
+/// batch's wall time.
+void RunColdMix(bench::JsonReport* json) {
+  const std::vector<graph::SyntheticProblem> problems = ColdMix();
+  const graph::MachineConfig machine = graph::MachineConfig::SingleNode(2);
+  std::vector<sched::OptimalScheduler> solvers;
+  solvers.reserve(problems.size());
+  for (const auto& p : problems) {
+    solvers.emplace_back(p.graph, p.costs, graph::CommModel(), machine);
+  }
+  sched::OptimalOptions opts;
+  opts.solver_threads = 1;
+  std::uint64_t nodes = 0;
+  const Summary s = Measure(kColdMixSamples, [&] {
+    nodes = 0;
+    for (const auto& solver : solvers) {
+      auto result = solver.Schedule(RegimeId(0), opts);
+      SS_CHECK(result.ok());
+      nodes += result->nodes_explored;
+    }
+  });
+  const double per_solve_us =
+      s.median * 1000.0 / static_cast<double>(problems.size());
+  std::printf(
+      "case cold_mix (%zu problems, %llu nodes, serial): median %.3f ms "
+      "per batch (p95 %.3f), %.1f us per solve\n",
+      problems.size(), static_cast<unsigned long long>(nodes), s.median,
+      s.p95, per_solve_us);
+  json->Add("optimal_cold_mix_t1", s.median, s.p95);
+}
+
 int Run(int argc, char** argv) {
   bench::JsonReport json(bench::JsonReport::PathFromArgs(argc, argv));
   bench::PaperSetup setup;
@@ -209,6 +271,7 @@ int Run(int argc, char** argv) {
              static_cast<double>(pruned_memo),
              static_cast<double>(pruned_memo));
   }
+  RunColdMix(&json);
   bench::PrintNote(
       "acceptance: medium-case 4-thread speedup >= 2x on a 4+ core host");
 

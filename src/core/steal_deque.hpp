@@ -46,8 +46,12 @@ class StealDeque {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_acquire);
     if (b - t >= static_cast<std::int64_t>(capacity())) return false;
+    // The slot is stored with release and Steal loads it with acquire, so
+    // a thief that takes `item` also sees everything written to it before
+    // the push. (The fence alone gives that too, but ThreadSanitizer does
+    // not model fences and reports the stolen item's fields as raced.)
     buffer_[static_cast<std::size_t>(b) & mask_].store(
-        item, std::memory_order_relaxed);
+        item, std::memory_order_release);
     // Publish the slot before the new bottom becomes visible to thieves.
     std::atomic_thread_fence(std::memory_order_release);
     bottom_.store(b + 1, std::memory_order_relaxed);
@@ -88,7 +92,7 @@ class StealDeque {
     if (t >= b) return nullptr;
     T* item =
         buffer_[static_cast<std::size_t>(t) & mask_].load(
-            std::memory_order_relaxed);
+            std::memory_order_acquire);
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                       std::memory_order_relaxed)) {
       return nullptr;

@@ -253,6 +253,15 @@ struct ComboContext {
   std::vector<int> eq_class;
   Tick total_work = 0;
 
+  /// Lower bound on every schedule of this combination: the searcher's
+  /// LowerBound before anything is placed, max(0, ceil(total_work /
+  /// procs), longest tail). Lets the seed skip the bound-finding phase.
+  Tick RootLowerBound(int procs) const {
+    Tick lb = std::max<Tick>(0, (total_work + procs - 1) / procs);
+    for (Tick t : tail) lb = std::max(lb, t);
+    return lb;
+  }
+
   explicit ComboContext(OpGraph g)
       : og(std::move(g)), tail(og.TailLengths()) {
     const int n = static_cast<int>(og.op_count());
@@ -286,24 +295,122 @@ struct SearchTask {
   std::vector<std::pair<int, ProcId>> prefix;
 };
 
-struct TaskCandidate {
-  Tick makespan = 0;
-  IterationSchedule sched;
+/// Pinned latency collection's retained ties: at most `cap` placement
+/// records in one flat buffer of fixed-size slots, so recording a tie
+/// allocates nothing once its slot exists, and an IterationSchedule is
+/// built only for the ties that survive the final merge. A record's key is
+/// its serial position: the combo index, then the (op, proc) decision at
+/// every depth, zero-padded to the widest combination. Keys compare on
+/// their first diverging decision, which is exactly the order a 1-thread
+/// DFS reaches completions in (children are generated op-ascending, then
+/// proc-ascending), independent of how the subtrees were split into tasks.
+/// Beside its key, a slot holds the start time of every placement.
+class TieBuffer {
+ public:
+  /// `max_ops`: the largest op count of any combination.
+  TieBuffer(int cap, std::size_t max_ops)
+      : cap_(static_cast<std::size_t>(std::max(cap, 0))),
+        max_ops_(max_ops),
+        key_words_(1 + 2 * max_ops) {}
+
+  /// Records the completion `path` of combination `combo`. It is kept if
+  /// fewer than `cap` ties are held or its key sorts before the largest
+  /// held one, which it then evicts.
+  void Offer(std::size_t combo, const std::vector<std::pair<int, ProcId>>& path,
+             const std::vector<Tick>& start_of) {
+    if (keys_.size() < (spare_ + 1) * key_words_) {
+      keys_.resize((spare_ + 1) * key_words_);
+      starts_.resize((spare_ + 1) * max_ops_);
+    }
+    std::uint32_t* key = keys_.data() + spare_ * key_words_;
+    std::uint32_t* const key_end = key + key_words_;
+    Tick* starts = starts_.data() + spare_ * max_ops_;
+    *key++ = static_cast<std::uint32_t>(combo);
+    for (const auto& [op, proc] : path) {
+      *key++ = static_cast<std::uint32_t>(op);
+      *key++ = static_cast<std::uint32_t>(proc.index());
+      *starts++ = start_of[static_cast<std::size_t>(op)];
+    }
+    std::fill(key, key_end, 0U);
+    const auto less = [this](std::size_t a, std::size_t b) {
+      return KeyLess(*this, a, *this, b);
+    };
+    if (order_.size() == cap_ && !less(spare_, order_.back())) return;
+    order_.insert(std::upper_bound(order_.begin(), order_.end(), spare_, less),
+                  spare_);
+    // Held slots plus the spare always cover 0..order_.size().
+    if (order_.size() > cap_) {
+      spare_ = order_.back();
+      order_.pop_back();
+    } else {
+      spare_ = order_.size();
+    }
+  }
+
+  void Clear() {
+    order_.clear();
+    spare_ = 0;
+  }
+
+  /// Held slots, by ascending key.
+  const std::vector<std::size_t>& order() const { return order_; }
+
+  std::size_t Combo(std::size_t slot) const {
+    return keys_[slot * key_words_];
+  }
+
+  static bool KeyLess(const TieBuffer& a, std::size_t sa, const TieBuffer& b,
+                      std::size_t sb) {
+    const std::uint32_t* ka = a.keys_.data() + sa * a.key_words_;
+    const std::uint32_t* kb = b.keys_.data() + sb * b.key_words_;
+    return std::lexicographical_compare(ka, ka + a.key_words_, kb,
+                                        kb + b.key_words_);
+  }
+
+  /// Rebuilds the schedule held in `slot`, a completion of `og`.
+  IterationSchedule Schedule(std::size_t slot, const OpGraph& og) const {
+    const std::uint32_t* key = keys_.data() + slot * key_words_ + 1;
+    const Tick* starts = starts_.data() + slot * max_ops_;
+    std::vector<ScheduleEntry> entries;
+    entries.reserve(og.op_count());
+    for (std::size_t k = 0; k < og.op_count(); ++k) {
+      const int op = static_cast<int>(key[2 * k]);
+      entries.push_back(ScheduleEntry{
+          op, ProcId(static_cast<ProcId::underlying_type>(key[2 * k + 1])),
+          starts[k], og.op(op).cost});
+    }
+    return IterationSchedule(og.variants(), std::move(entries));
+  }
+
+ private:
+  const std::size_t cap_;
+  const std::size_t max_ops_;
+  const std::size_t key_words_;
+  std::vector<std::uint32_t> keys_;
+  std::vector<Tick> starts_;
+  std::vector<std::size_t> order_;
+  /// The slot the next offered tie is written into.
+  std::size_t spare_ = 0;
 };
 
 /// Everything one worker accumulates. Each worker writes only its own
 /// state; the merge after the join walks the states in canonical order.
 struct WorkerState {
+  WorkerState(int cap, std::size_t max_ops) : ties(cap, max_ops) {}
+
   StealDeque<SearchTask> deque{kDequeCapacity};
 
-  /// Latency mode: the makespan of this worker's retained candidates.
+  /// Latency mode: the makespan of this worker's retained ties.
   /// Throughput mode: the minimal latency among in-bound completions.
   Tick best_makespan = kTickInfinity;
-  /// Retained complete schedules, keyed (and therefore capped) by
-  /// canonical key — a data-only total order, so the per-worker cap keeps
-  /// a superset of the globally reported set no matter how the tree was
-  /// partitioned across workers.
-  std::map<std::string, TaskCandidate> candidates;
+  /// Retained ties of pinned latency collection, capped by serial key.
+  TieBuffer ties;
+  /// Retained complete schedules of unpinned collection and bound mode,
+  /// keyed (and therefore capped) by canonical key. Both keys are
+  /// data-only total orders, so each per-worker cap keeps a superset of
+  /// the globally reported set no matter how the tree was partitioned
+  /// across workers.
+  std::map<std::string, IterationSchedule> candidates;
   /// Throughput mode: this worker's best pipelined schedule.
   bool has_pipelined = false;
   PipelinedSchedule pipelined;
@@ -343,15 +450,19 @@ class SearchEngine {
         shared_(shared),
         collect_(collect),
         use_memo_(use_memo) {
-    workers_.reserve(static_cast<std::size_t>(worker_count));
-    for (int w = 0; w < worker_count; ++w) {
-      workers_.push_back(std::make_unique<WorkerState>());
-    }
     std::int64_t live = 0;
+    std::size_t max_ops = 0;
     for (const auto& ctx : contexts_) {
-      if (ctx) ++live;
+      if (!ctx) continue;
+      ++live;
+      max_ops = std::max(max_ops, ctx->og.op_count());
     }
     inflight_.store(live, std::memory_order_relaxed);
+    workers_.reserve(static_cast<std::size_t>(worker_count));
+    for (int w = 0; w < worker_count; ++w) {
+      workers_.push_back(std::make_unique<WorkerState>(
+          options.max_optimal_schedules, max_ops));
+    }
   }
 
   /// Runs the phase to completion; the calling thread participates.
@@ -512,11 +623,6 @@ class BnbSearcher {
     proc_sig_.assign(static_cast<std::size_t>(procs_), 0);
     live_prof_.resize(static_cast<std::size_t>(procs_));
   }
-
-  /// Root lower bound of this combination (before anything is placed);
-  /// used to skip the bound-finding phase when the heuristic seed already
-  /// meets it.
-  Tick RootLowerBound() const { return LowerBound(0, 0); }
 
   /// Runs one task: replays its prefix, searches the subtree below it,
   /// undoes the replay. Replay is exact state reconstruction (every prefix
@@ -884,48 +990,22 @@ class BnbSearcher {
     return IterationSchedule(og_.variants(), std::move(entries));
   }
 
-  /// Position of the current completion in the serial enumeration order:
-  /// combo index, then the (op, proc) decision at every depth, big-endian
-  /// so lexicographic string compare reproduces sibling order (candidates
-  /// are generated op-ascending, proc-ascending). Two completions compare
-  /// on their first diverging decision, which is exactly the order a
-  /// 1-thread DFS would reach them in — independent of how the subtrees
-  /// were split into tasks.
-  std::string SerialKey() const {
-    std::string key;
-    key.reserve(4 + path_.size() * 8);
-    auto put32 = [&key](std::uint32_t v) {
-      for (int s = 24; s >= 0; s -= 8) {
-        key.push_back(static_cast<char>((v >> s) & 0xff));
-      }
-    };
-    put32(static_cast<std::uint32_t>(combo_));
-    for (const auto& step : path_) {
-      put32(static_cast<std::uint32_t>(step.first));
-      put32(static_cast<std::uint32_t>(step.second.index()));
-    }
-    return key;
-  }
-
-  void InsertCandidate(Tick makespan, IterationSchedule sched) {
+  /// Unpinned collection and bound mode retain the `cap` smallest
+  /// canonical keys over a full enumeration; pinned latency collection
+  /// retains the first `cap` ties in serial order instead (TieBuffer).
+  /// Either way the per-worker retained set provably contains the global
+  /// smallest/first `cap`, so the merged result is independent of the
+  /// thread count.
+  void InsertCandidate(IterationSchedule sched) {
     const int cap = options_.max_optimal_schedules;
     if (cap <= 0) return;
-    // Pinned latency collection retains the first `cap` ties in serial
-    // order (cheap, and each task may stop once its quota is full); the
-    // other modes retain the `cap` smallest canonical keys over a full
-    // enumeration. Either way the per-worker retained set provably
-    // contains the global first/smallest `cap`, so the merged result is
-    // independent of the thread count. Final output is re-sorted into
-    // canonical-key order regardless.
-    std::string key = (!shared_->bound_mode && shared_->latency_pinned)
-                          ? SerialKey()
-                          : sched.CanonicalKey();
+    std::string key = sched.CanonicalKey();
     auto& cands = worker_->candidates;
     if (static_cast<int>(cands.size()) >= cap) {
       auto last = std::prev(cands.end());
       if (key >= last->first) return;
     }
-    cands.emplace(std::move(key), TaskCandidate{makespan, std::move(sched)});
+    cands.emplace(std::move(key), std::move(sched));
     if (static_cast<int>(cands.size()) > cap) {
       cands.erase(std::prev(cands.end()));
     }
@@ -947,7 +1027,7 @@ class BnbSearcher {
         worker_->pipelined = std::move(composed);
         worker_->has_pipelined = true;
       }
-      InsertCandidate(makespan, std::move(sched));
+      InsertCandidate(std::move(sched));
       return;
     }
     shared_->OfferBest(makespan);
@@ -965,25 +1045,29 @@ class BnbSearcher {
     // Collection phase. The incumbent filter is a timing-dependent
     // shortcut, but a harmless one: every completion at the global minimum
     // always passes it (the incumbent can never drop below the minimum),
-    // and the merge discards everything else. The candidate map holds only
+    // and the merge discards everything else. The retained set holds only
     // completions at this worker's current best, so globally-minimal ones
     // can never be crowded out of the cap by stale entries — any strictly
-    // better completion clears the map first.
+    // better completion clears it first.
     if (makespan > shared_->best.load(std::memory_order_relaxed)) return;
     if (makespan > worker_->best_makespan) return;
     if (makespan < worker_->best_makespan) {
       worker_->best_makespan = makespan;
       worker_->candidates.clear();
+      worker_->ties.Clear();
     }
-    InsertCandidate(makespan, CurrentSchedule());
+    if (!shared_->latency_pinned) {
+      InsertCandidate(CurrentSchedule());
+      return;
+    }
     // With the incumbent pinned at the proven minimum, every completion
     // reaching this point is a tie, and this task only ever contributes
     // its serially-first `cap` of them — once the quota is full the rest
     // of the subtree can't change the reported set, so stop the task.
-    if (shared_->latency_pinned && options_.max_optimal_schedules > 0 &&
-        ++task_ties_ >= options_.max_optimal_schedules) {
-      stopped_ = true;
-    }
+    const int cap = options_.max_optimal_schedules;
+    if (cap <= 0) return;
+    worker_->ties.Offer(combo_, path_, start_of_);
+    if (++task_ties_ >= cap) stopped_ = true;
   }
 
   void Dfs(int depth, Tick cur_makespan, Tick last_start, int last_op) {
@@ -1302,14 +1386,9 @@ Expected<OptimalResult> RunSearch(
   std::vector<std::unique_ptr<WorkerState>> bound_phase_states;
   if (!bound_mode && live > 0) {
     Tick root_lb = kTickInfinity;
-    {
-      SearchEngine probe(contexts, comm, machine, options, prune, &shared,
-                         /*collect=*/false, /*use_memo=*/false, 1);
-      for (std::size_t ci = 0; ci < contexts.size(); ++ci) {
-        if (!contexts[ci]) continue;
-        BnbSearcher searcher(*contexts[ci], comm, machine, options, &shared,
-                             &probe, 0, ci);
-        root_lb = std::min(root_lb, searcher.RootLowerBound());
+    for (const auto& ctx : contexts) {
+      if (ctx) {
+        root_lb = std::min(root_lb, ctx->RootLowerBound(machine.total_procs()));
       }
     }
     if (seed < kTickInfinity && root_lb >= seed) {
@@ -1367,24 +1446,21 @@ Expected<OptimalResult> RunSearch(
                                   FormatTick(latency_bound)));
     }
     result.min_latency = min_latency == kTickInfinity ? 0 : min_latency;
-    std::map<std::string, TaskCandidate> merged;
-    for (auto& ws : workers) {
-      for (auto& entry : ws->candidates) {
-        merged.emplace(entry.first, std::move(entry.second));
-      }
-    }
+    std::map<std::string, IterationSchedule> merged;
+    for (auto& ws : workers) merged.merge(ws->candidates);
     for (auto& entry : merged) {
       if (static_cast<int>(result.optimal.size()) >=
           options.max_optimal_schedules) {
         break;
       }
-      result.optimal.push_back(std::move(entry.second.sched));
+      result.optimal.push_back(std::move(entry.second));
     }
     result.solve_wall_ticks = solve_timer.Elapsed();
     return result;
   }
 
-  // Latency mode. The merged set is the cap smallest canonical keys among
+  // Latency mode. The merged set is the first `cap` ties in serial order
+  // (pinned) or the `cap` smallest canonical keys (unpinned) among
   // completions at the global minimum — independent of how the subtrees
   // were spread across workers (see docs/solver.md for the argument).
   if (min_latency == kTickInfinity) {
@@ -1420,42 +1496,67 @@ Expected<OptimalResult> RunSearch(
     }
   } else {
     result.min_latency = min_latency;
-    std::map<std::string, TaskCandidate> merged;
-    for (auto& ws : workers) {
-      if (ws->best_makespan != min_latency) continue;
-      for (auto& entry : ws->candidates) {
-        if (entry.second.makespan != min_latency) continue;
-        merged.emplace(entry.first, std::move(entry.second));
+    const auto cap = static_cast<std::size_t>(
+        std::max(options.max_optimal_schedules, 0));
+    // S as (canonical key, schedule) pairs, each key built once.
+    std::vector<std::pair<std::string, IterationSchedule>> keyed;
+    if (shared.latency_pinned) {
+      // The first `cap` ties in serial order across all workers; only
+      // these become IterationSchedules.
+      std::vector<std::pair<const WorkerState*, std::size_t>> held;
+      for (const auto& ws : workers) {
+        if (ws->best_makespan != min_latency) continue;
+        for (std::size_t slot : ws->ties.order()) {
+          held.emplace_back(ws.get(), slot);
+        }
+      }
+      const auto cut = held.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(cap, held.size()));
+      std::partial_sort(held.begin(), cut, held.end(),
+                        [](const auto& a, const auto& b) {
+                          return TieBuffer::KeyLess(a.first->ties, a.second,
+                                                    b.first->ties, b.second);
+                        });
+      held.erase(cut, held.end());
+      keyed.reserve(held.size());
+      for (const auto& [ws, slot] : held) {
+        IterationSchedule sched =
+            ws->ties.Schedule(slot, contexts[ws->ties.Combo(slot)]->og);
+        std::string key = sched.CanonicalKey();
+        keyed.emplace_back(std::move(key), std::move(sched));
+      }
+      std::sort(keyed.begin(), keyed.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    } else {
+      // Already keyed canonically: the first `cap` of the merged map.
+      std::map<std::string, IterationSchedule> merged;
+      for (auto& ws : workers) {
+        if (ws->best_makespan == min_latency) merged.merge(ws->candidates);
+      }
+      for (auto& entry : merged) {
+        if (keyed.size() >= cap) break;
+        keyed.emplace_back(entry.first, std::move(entry.second));
       }
     }
-    // The map key is the serial position (pinned collection) or the
-    // canonical key (unpinned) — either way the first `cap` entries are
-    // the deterministic retained set. Output order is canonical-key
-    // regardless, so consumers never see the internal keying.
-    for (auto& entry : merged) {
-      if (static_cast<int>(result.optimal.size()) >=
-          options.max_optimal_schedules) {
-        break;
-      }
-      result.optimal.push_back(std::move(entry.second.sched));
-    }
-    std::sort(result.optimal.begin(), result.optimal.end(),
-              [](const IterationSchedule& a, const IterationSchedule& b) {
-                return a.CanonicalKey() < b.CanonicalKey();
-              });
+    result.optimal.reserve(keyed.size());
+    for (auto& entry : keyed) result.optimal.push_back(std::move(entry.second));
   }
   if (result.optimal.empty()) {
     return Status(InternalError("search produced no schedule"));
   }
 
-  // Step 3: the member of S whose pipelined form has the best throughput,
-  // by the same canonical order the parallel merge uses.
+  // Step 3: the member of S whose pipelined form has the best throughput.
+  // S is in ascending canonical-key order, so keeping the first of equal
+  // (II, latency) is exactly BetterThroughput's key tie-break: a later
+  // member's key is never smaller.
   bool have_best = false;
   for (const auto& sched : result.optimal) {
     PipelinedSchedule cand = PipelineComposer::Compose(
         sched, machine.total_procs(), options.pipeline);
     if (!have_best ||
-        PipelineComposer::BetterThroughput(cand, result.best)) {
+        cand.initiation_interval < result.best.initiation_interval ||
+        (cand.initiation_interval == result.best.initiation_interval &&
+         cand.Latency() < result.best.Latency())) {
       result.best = std::move(cand);
     }
     have_best = true;

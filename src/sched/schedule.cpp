@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -104,40 +105,32 @@ Status IterationSchedule::Validate(const graph::OpGraph& og,
 }
 
 std::string IterationSchedule::CanonicalKey() const {
-  std::ostringstream os;
-  for (VariantId v : variants_) os << v.value() << '/';
-  os << '|';
-  std::vector<ScheduleEntry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ScheduleEntry& a, const ScheduleEntry& b) {
-              return a.op < b.op;
+  // "v/v/.../|op:proc:start;..." with ops in id order, in decimal. The text
+  // is the order itself (BetterThroughput and the solver's tie caps compare
+  // keys as strings), so the bytes must not change.
+  std::vector<const ScheduleEntry*> by_op;
+  by_op.reserve(entries_.size());
+  for (const auto& e : entries_) by_op.push_back(&e);
+  std::sort(by_op.begin(), by_op.end(),
+            [](const ScheduleEntry* a, const ScheduleEntry* b) {
+              return a->op < b->op;
             });
-  for (const auto& e : sorted) {
-    os << e.op << ':' << e.proc.value() << ':' << e.start << ';';
-  }
-  return os.str();
-}
-
-std::uint64_t IterationSchedule::CanonicalHash() const {
-  // FNV-1a over the canonical tuple stream: variants, then (proc, start)
-  // in op-id order — the same data CanonicalKey() serializes.
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
+  std::string key;
+  key.reserve(variants_.size() * 4 + 1 + entries_.size() * 24);
+  const auto put = [&key](std::int64_t v, char sep) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    key.append(buf, r.ptr);
+    key.push_back(sep);
   };
-  for (VariantId v : variants_) mix(static_cast<std::uint64_t>(v.value()));
-  std::vector<const ScheduleEntry*> by_op(entries_.size(), nullptr);
-  for (const auto& e : entries_) {
-    by_op.at(static_cast<std::size_t>(e.op)) = &e;
-  }
+  for (VariantId v : variants_) put(v.value(), '/');
+  key.push_back('|');
   for (const ScheduleEntry* e : by_op) {
-    mix(static_cast<std::uint64_t>(e->proc.value()));
-    mix(static_cast<std::uint64_t>(e->start));
+    put(e->op, ':');
+    put(e->proc.value(), ':');
+    put(e->start, ';');
   }
-  return h;
+  return key;
 }
 
 std::string IterationSchedule::ToString(const graph::OpGraph& og) const {

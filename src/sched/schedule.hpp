@@ -70,15 +70,11 @@ class IterationSchedule {
   Status Validate(const graph::OpGraph& og, const graph::MachineConfig& machine,
                   const graph::CommModel& comm) const;
 
-  /// Deterministic canonical string (for deduplicating equal schedules).
+  /// Deterministic canonical string: the variants, then every op's
+  /// placement in op-id order, as decimal text. Equal schedules have equal
+  /// keys, and the keys' string order is the tie-break of the solver's
+  /// reported set and of PipelineComposer::BetterThroughput.
   std::string CanonicalKey() const;
-
-  /// 64-bit hash of the same canonical form. The branch-and-bound searcher
-  /// dedups on this instead of the string: no allocation, no ordered-set
-  /// compares. Equal schedules always hash equal; a collision (~2^-64 per
-  /// pair) can only drop a duplicate-looking schedule from the reported
-  /// set, never affect the computed minimum latency.
-  std::uint64_t CanonicalHash() const;
 
   /// Human-readable listing.
   std::string ToString(const graph::OpGraph& og) const;

@@ -4,6 +4,7 @@
 // search. The whole suite also runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -374,6 +375,143 @@ TEST(ParallelOptimalTest, CompletePrefixesChargeTheBudgetOnce) {
     EXPECT_EQ(result->min_latency, 120);
     EXPECT_EQ(result->seed_makespan, 120);
     EXPECT_EQ(result->nodes_explored, 4u) << "threads " << threads;
+  }
+}
+
+/// 64-bit FNV-1a over little-endian integer bytes, so the value is the same
+/// on every host.
+class Digest {
+ public:
+  void Add(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (static_cast<std::uint64_t>(v) >> (i * 8)) & 0xffU;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void Add(const std::string& s) {
+    Add(static_cast<std::int64_t>(s.size()));
+    for (unsigned char c : s) {
+      hash_ ^= c;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void Add(const OptimalResult& r) {
+    Add(r.min_latency);
+    Add(static_cast<std::int64_t>(r.optimal.size()));
+    for (const auto& s : r.optimal) Add(s.CanonicalKey());
+    Add(r.best.iteration.CanonicalKey());
+    Add(r.best.initiation_interval);
+    Add(r.best.rotation);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+struct DigestCase {
+  graph::SyntheticProblem problem;
+  MachineConfig machine;
+  CommModel comm;
+};
+
+/// Three seeded families: the benchmark's cold mix (chains of 4-6 tasks,
+/// 2-way fork-joins, 2-layer width-2 DAGs) on two processors, 2-layer
+/// DAGs with half their tasks data-parallel on a 2x2 cluster, and width-3
+/// DAGs on three processors.
+std::vector<DigestCase> DigestSweep() {
+  std::vector<DigestCase> cases;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    Rng rng(1000 + i);
+    graph::SyntheticOptions gen;
+    gen.max_width = 2;
+    gen.layers = 2;
+    const std::uint64_t family = rng.NextBelow(4);
+    graph::SyntheticProblem p =
+        family < 2
+            ? graph::MakeChain(rng, 4 + static_cast<int>(rng.NextBelow(3)), gen)
+        : family == 2 ? graph::MakeForkJoin(rng, 2, gen)
+                      : graph::MakeLayered(rng, gen);
+    cases.push_back({std::move(p), MachineConfig::SingleNode(2), CommModel()});
+  }
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    Rng rng(2000 + i);
+    graph::SyntheticOptions gen;
+    gen.max_width = 2;
+    gen.layers = 2;
+    gen.variant_percent = 50;
+    gen.max_chunks = 2;
+    CommModel comm;
+    comm.intra_latency = 5;
+    comm.inter_latency = 25;
+    cases.push_back({graph::MakeLayered(rng, gen),
+                     MachineConfig::Cluster(2, 2), comm});
+  }
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    Rng rng(3000 + i);
+    graph::SyntheticOptions gen;
+    gen.max_width = 3;
+    gen.layers = 2;
+    gen.max_chunks = 2;
+    CommModel comm;
+    comm.intra_latency = 7;
+    cases.push_back({graph::MakeLayered(rng, gen),
+                     MachineConfig::SingleNode(3), comm});
+  }
+  return cases;
+}
+
+// Regression digest of what the solver reports: every solve's min_latency,
+// reported set (canonical keys, in order), and best pipelined schedule
+// (key, II, rotation), folded over a seeded sweep in latency mode with all
+// reductions on, with none (the unpinned collection path), and on every
+// third problem in throughput mode bounded at the minimal latency. The
+// recorded constant pins the results bit for bit, for each thread count;
+// a change that moves it changes solver output.
+TEST(ParallelOptimalTest, SeededSweepMatchesRecordedDigest) {
+  constexpr std::uint64_t kRecorded = 0xde6ed3c2e469cff4ULL;
+  const std::vector<DigestCase> cases = DigestSweep();
+  sched::PruningOptions none;
+  none.proc_symmetry = false;
+  none.ready_symmetry = false;
+  none.empty_node_symmetry = false;
+  none.sink_dominance = false;
+  none.memo = false;
+  none.seed_incumbent = false;
+  for (int threads : {1, 4}) {
+    Digest digest;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const DigestCase& c = cases[i];
+      SCOPED_TRACE("case " + std::to_string(i) + " threads " +
+                   std::to_string(threads));
+      ASSERT_TRUE(c.problem.graph.Validate().ok());
+      OptimalScheduler solver(c.problem.graph, c.problem.costs, c.comm,
+                              c.machine);
+      OptimalOptions opts;
+      opts.solver_threads = threads;
+      auto full = solver.Schedule(kR0, opts);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      ASSERT_FALSE(full->budget_exhausted);
+      digest.Add(*full);
+
+      OptimalOptions unpruned = opts;
+      unpruned.pruning = none;
+      auto enumerated = solver.Schedule(kR0, unpruned);
+      ASSERT_TRUE(enumerated.ok()) << enumerated.status().ToString();
+      ASSERT_FALSE(enumerated->budget_exhausted);
+      digest.Add(*enumerated);
+
+      if (i % 3 == 0) {
+        auto throughput =
+            solver.ScheduleForThroughput(kR0, full->min_latency, opts);
+        ASSERT_TRUE(throughput.ok()) << throughput.status().ToString();
+        ASSERT_FALSE(throughput->budget_exhausted);
+        digest.Add(*throughput);
+      }
+    }
+    EXPECT_EQ(digest.value(), kRecorded)
+        << "threads " << threads << ": digest 0x" << std::hex
+        << digest.value();
   }
 }
 

@@ -114,6 +114,24 @@ TEST(IterationScheduleTest, CanonicalKeyDistinguishesPlacement) {
   EXPECT_EQ(a.CanonicalKey(), a2.CanonicalKey());
 }
 
+TEST(IterationScheduleTest, CanonicalKeyBytesAreStable) {
+  // The key's text decides which tie the solver reports as `best` and which
+  // ties unpinned collection keeps at the cap, so its bytes are pinned:
+  // decimal fields, ops in id order (op 10 after op 9, although "10" < "9"
+  // as text), multi-digit variants, processors and start times.
+  IterationSchedule s(
+      {VariantId(12), VariantId(0), VariantId(3), VariantId(105)},
+      {{7, ProcId(10), 262, 5},   {3, ProcId(0), 12, 250},
+       {11, ProcId(1), 1179, 9},  {0, ProcId(0), 0, 12},
+       {9, ProcId(2), 1042, 17},  {1, ProcId(1), 12, 30},
+       {10, ProcId(4), 1059, 120}, {5, ProcId(1), 42, 8},
+       {2, ProcId(10), 12, 7},    {8, ProcId(0), 262, 33},
+       {4, ProcId(2), 42, 1000},  {6, ProcId(3), 19, 64}});
+  EXPECT_EQ(s.CanonicalKey(),
+            "12/0/3/105/|0:0:0;1:1:12;2:10:12;3:0:12;4:2:42;5:1:42;6:3:19;"
+            "7:10:262;8:0:262;9:2:1042;10:4:1059;11:1:1179;");
+}
+
 // ---- pipeline composer -----------------------------------------------------------
 
 TEST(PipelineTest, NoRotationGivesProcSpanInterval) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,11 @@ struct StressCase {
   StorageMode storage;
   std::size_t capacity;
 };
+
+// gtest would otherwise print the struct's bytes, `name`'s pointer among
+// them, which moves with every run, into the listed test names that ctest
+// registers.
+void PrintTo(const StressCase& c, std::ostream* os) { *os << c.name; }
 
 class StmStress : public ::testing::TestWithParam<StressCase> {};
 
