@@ -44,13 +44,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chaos.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/time.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/synthetic.hpp"
 #include "net/async_client.hpp"
-#include "net/chaos.hpp"
 #include "net/resilient_client.hpp"
 #include "net/server.hpp"
 #include "raw_conn.hpp"
@@ -192,9 +192,9 @@ int Run(const LoadgenOptions& options) {
   std::string host = options.connect_host;
   int port = options.connect_port;
   if (host.empty()) {
+    // Solves run on the two tenant dispatchers; the service's own worker
+    // pool and queue serve only SubmitAsync callers, and none run here.
     service::ServiceOptions sopts;
-    sopts.workers = 4;
-    sopts.queue_capacity = 4096;
     sopts.cache_capacity = 4096;
     service = std::make_unique<service::ScheduleService>(sopts);
     tenant::TenantSchedulerOptions topts;
@@ -220,7 +220,7 @@ int Run(const LoadgenOptions& options) {
     }
     host = server->host();
     port = server->port();
-    std::printf("self-hosted server on %s:%d (4 workers, 2 dispatchers)\n",
+    std::printf("self-hosted server on %s:%d (2 dispatchers)\n",
                 host.c_str(), port);
   } else {
     std::printf("external server %s:%d\n", host.c_str(), port);
@@ -536,11 +536,9 @@ struct SoakServer {
   std::unique_ptr<tenant::TenantScheduler> tenants;
   std::unique_ptr<net::Server> server;
 
-  Status Start(int port, int workers, int dispatch_threads, int tenant_count,
+  Status Start(int port, int dispatch_threads, int tenant_count,
                net::ServerOptions nopts) {
     service::ServiceOptions sopts;
-    sopts.workers = workers;
-    sopts.queue_capacity = 1024;
     sopts.cache_capacity = 1024;
     service = std::make_unique<service::ScheduleService>(sopts);
     tenant::TenantSchedulerOptions topts;
@@ -590,8 +588,8 @@ int RunChaosSoak(const LoadgenOptions& options) {
     SoakServer soak;
     net::ServerOptions nopts;
     nopts.drain_timeout = ticks::FromSeconds(2);
-    Status started = soak.Start(/*port=*/0, /*workers=*/2,
-                                /*dispatch_threads=*/2, kTenants, nopts);
+    Status started = soak.Start(/*port=*/0, /*dispatch_threads=*/2,
+                                kTenants, nopts);
     if (!started.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
       return 1;
@@ -658,8 +656,8 @@ int RunChaosSoak(const LoadgenOptions& options) {
     }
     std::printf("  restarting server on port %d mid-run...\n", port);
     soak.Stop();
-    Status restarted = soak.Start(port, /*workers=*/2,
-                                  /*dispatch_threads=*/2, kTenants, nopts);
+    Status restarted = soak.Start(port, /*dispatch_threads=*/2, kTenants,
+                                  nopts);
     if (!restarted.ok()) {
       std::fprintf(stderr, "FAIL [resilience/restart]: %s\n",
                    restarted.ToString().c_str());
@@ -714,8 +712,8 @@ int RunChaosSoak(const LoadgenOptions& options) {
   {
     SoakServer soak;
     net::ServerOptions nopts;
-    Status started = soak.Start(/*port=*/0, /*workers=*/2,
-                                /*dispatch_threads=*/2, kTenants, nopts);
+    Status started = soak.Start(/*port=*/0, /*dispatch_threads=*/2,
+                                kTenants, nopts);
     if (!started.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
       return 1;
@@ -797,8 +795,8 @@ int RunChaosSoak(const LoadgenOptions& options) {
     SoakServer soak;
     net::ServerOptions nopts;
     nopts.max_pending_solves = 4;
-    Status started = soak.Start(/*port=*/0, /*workers=*/1,
-                                /*dispatch_threads=*/1, kTenants, nopts);
+    Status started = soak.Start(/*port=*/0, /*dispatch_threads=*/1,
+                                kTenants, nopts);
     if (!started.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
       return 1;
@@ -1072,8 +1070,8 @@ int RunPipelined(const LoadgenOptions& options) {
   {
     SoakServer soak;
     net::ServerOptions nopts;
-    Status started = soak.Start(/*port=*/0, /*workers=*/4,
-                                /*dispatch_threads=*/2, kTenants, nopts);
+    Status started = soak.Start(/*port=*/0, /*dispatch_threads=*/2,
+                                kTenants, nopts);
     if (!started.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
       return 1;
@@ -1154,8 +1152,8 @@ int RunPipelined(const LoadgenOptions& options) {
     SoakServer soak;
     net::ServerOptions nopts;
     nopts.loop_threads = loops;
-    Status started = soak.Start(/*port=*/0, /*workers=*/4,
-                                /*dispatch_threads=*/2, kTenants, nopts);
+    Status started = soak.Start(/*port=*/0, /*dispatch_threads=*/2,
+                                kTenants, nopts);
     if (!started.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
       return 1;

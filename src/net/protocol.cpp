@@ -490,7 +490,6 @@ std::string StatsResponseMsg::ToTable() const {
   row("corrupt artifacts rejected", corrupt_rejected);
   row("degraded (heuristic) serves", degraded);
   row("cache entries", cache_entries);
-  row("solve retries", retries);
   service.AddRule();
   row("connections accepted", connections_accepted);
   row("connections active", connections_active);

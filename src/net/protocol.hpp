@@ -163,7 +163,10 @@ struct StatsResponseMsg {
   std::uint64_t corrupt_rejected = 0;
   std::uint64_t degraded = 0;
   std::uint64_t cache_entries = 0;
-  /// Solver-layer retries spent recovering transient solve failures.
+  /// Always 0: the service no longer retries failed solves (a serial
+  /// rerun repeats the same search; a budget-limited failure needs a
+  /// larger budget, not a rerun). Kept on the wire because perfbench's
+  /// ReadServerCounts decodes it.
   std::uint64_t retries = 0;
   // server
   std::uint64_t connections_accepted = 0;

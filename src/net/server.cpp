@@ -676,7 +676,6 @@ class Server::Impl {
     resp.corrupt_rejected = svc.corrupt_rejected;
     resp.degraded = svc.degraded;
     resp.cache_entries = svc.cache.entries;
-    resp.retries = svc.retried;
     const ServerStats server = Stats();
     resp.connections_accepted = server.accepted;
     resp.connections_active = server.active;

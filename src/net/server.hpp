@@ -7,12 +7,13 @@
 // partial writes (one sendmsg/writev over the queued response frames,
 // EPOLLOUT only while a write is pending), idle timeouts, and graceful
 // drain. A connection never migrates between loops, so all per-connection
-// state stays single-threaded. Solver work never runs on a loop — solve
-// requests go through the TenantScheduler (admission, fair queueing) and
-// complete on its dispatcher threads, which hand the encoded response back
-// to the owning loop via its completion queue + eventfd wakeup. Lookup,
-// stats, and health are answered inline (cache probes and counter
-// snapshots, no solver).
+// state stays single-threaded. Solver work never runs on a loop — a cold
+// solve waits in its tenant's TenantScheduler lane (admission, fair
+// queueing), is solved on the dispatcher thread that takes it, and that
+// thread hands the encoded response back to the owning loop via its
+// completion queue + eventfd wakeup: one queue and one thread hop. Cache
+// hits, lookup, stats, and health are answered inline (cache probes and
+// counter snapshots, no solver).
 //
 // Every response echoes its request's request_id and leaves as soon as it
 // is ready, which is what makes pipelining pay. A frame with a version

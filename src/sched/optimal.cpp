@@ -1295,6 +1295,13 @@ Expected<OptimalResult> RunSearch(
     const OptimalOptions& options, RegimeId regime,
     const std::vector<std::vector<VariantId>>& combos, bool bound_mode,
     Tick latency_bound) {
+  // Latency mode picks `best` from S, so S must keep at least one member;
+  // in bound mode the cap only limits what is reported.
+  if (!bound_mode && options.max_optimal_schedules < 1) {
+    return Status(InvalidArgumentError(
+        "max_optimal_schedules must be at least 1, got " +
+        std::to_string(options.max_optimal_schedules)));
+  }
   const Stopwatch solve_timer;
   OptimalResult result;
   result.variant_combinations = combos.size();

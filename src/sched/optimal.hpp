@@ -88,6 +88,8 @@ struct PruningOptions {
 
 struct OptimalOptions {
   /// Cap on how many latency-optimal iteration schedules are retained in S.
+  /// Latency mode rejects a cap below 1 with kInvalidArgument; throughput
+  /// (bound) mode accepts it, since there it only limits what is reported.
   int max_optimal_schedules = 32;
   /// Branch-and-bound node budget across all variant combinations. The cap
   /// is global: with multiple solver threads the workers draw chunks from a

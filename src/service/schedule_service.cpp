@@ -1,7 +1,6 @@
 #include "service/schedule_service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -32,7 +31,6 @@ std::string ServiceStats::ToTable() const {
   row("cancelled", cancelled);
   row("corrupt artifacts rejected", corrupt_rejected);
   row("degraded (heuristic) serves", degraded);
-  row("solve retries", retried);
   row("watchdog cancellations", watchdog_cancellations);
   row("snapshot I/O errors", snapshot_io_errors);
   table.AddRow({"hit rate", FormatDouble(HitRate(), 3)});
@@ -63,10 +61,6 @@ ScheduleService::ScheduleService(ServiceOptions options)
       cache_.Clear();
     }
   }
-  // workers == 0 keeps the pool threadless: accepted jobs sit in its deques
-  // and only surface during Shutdown(), where they fail with kCancelled —
-  // the "paused" configuration the tests rely on.
-  pool_ = std::make_unique<WorkerPool>(options_.workers);
 }
 
 ScheduleService::~ScheduleService() { Shutdown(); }
@@ -114,25 +108,34 @@ Expected<SolveFuture> ScheduleService::SubmitAsync(SolveRequest request) {
   if (shutdown_) {
     return Status(CancelledError("schedule service is shut down"));
   }
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  if (queued_jobs_ >= options_.queue_capacity) {
+  const bool joining = inflight_.contains(key);
+  if (!joining && queued_jobs_ >= options_.queue_capacity) {
     queue_rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status(WouldBlockError(
         "schedule service queue full (" +
         std::to_string(options_.queue_capacity) + " pending); retry later"));
   }
-  Job job;
-  job.key = key;
-  job.request = std::move(request);
-  job.promise = std::make_shared<std::promise<Expected<SolveResult>>>();
-  SolveFuture future = job.promise->get_future().share();
-  inflight_.emplace(key, future);
+  auto promise = std::make_shared<std::promise<Expected<SolveResult>>>();
+  SolveFuture future = promise->get_future().share();
+  inflight_[key].push_back([promise](Expected<SolveResult> result) {
+    promise->set_value(std::move(result));
+  });
+  if (joining) {
+    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    return future;
+  }
   ++queued_jobs_;
-  pool_->Submit(
-      [this, job = std::move(job)]() mutable { RunJob(std::move(job)); });
+  // Started on first use; threadless when workers == 0, so that jobs only
+  // surface in Shutdown().
+  if (!pool_) pool_ = std::make_unique<WorkerPool>(options_.workers);
+  pool_->Submit([this, job = Job{key, std::move(request)}] {
+    {
+      MutexLock picked_up(mu_);
+      SS_CHECK(queued_jobs_ > 0);
+      --queued_jobs_;
+    }
+    RunJob(job);
+  });
   return future;
 }
 
@@ -149,6 +152,44 @@ Expected<SolveResult> ScheduleService::Solve(SolveRequest request) {
         "warm the cache when it completes)"));
   }
   return future.get();
+}
+
+void ScheduleService::SolveOnCaller(SolveRequest request,
+                                    SolveCallback done) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  if (!request.problem) {
+    done(Status(InvalidArgumentError("request has no problem")));
+    return;
+  }
+  Job job{RequestKey(request), std::move(request)};
+  if (job.request.deadline != kTickInfinity) {
+    // Answered when the solve ends, which may be past the deadline.
+    done = [this, deadline = job.request.deadline,
+            done = std::move(done)](Expected<SolveResult> result) {
+      if (WallNow() > deadline &&
+          result.status().code() != StatusCode::kDeadlineExceeded) {
+        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        result = Status(DeadlineExceededError(
+            "solve ended after the request deadline"));
+      }
+      done(std::move(result));
+    };
+  }
+  MutexLock lock(mu_);
+  if (shutdown_) {
+    lock.Unlock();
+    done(Status(CancelledError("schedule service is shut down")));
+    return;
+  }
+  auto [it, fresh] = inflight_.try_emplace(job.key);
+  it->second.push_back(std::move(done));
+  if (!fresh) {
+    // The flight's own thread completes this request.
+    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  lock.Unlock();
+  RunJob(job);
 }
 
 Expected<SolveResult> ScheduleService::Lookup(const SolveRequest& request) {
@@ -178,11 +219,9 @@ Status ValidateRegime(const graph::ProblemSpec& spec, RegimeId regime) {
   return OkStatus();
 }
 
-/// Only kInternal reads as transient (a wedged subtree, an injected blip);
-/// invalid arguments, budget exhaustion and cancellations are final.
-bool RetryableSolveFailure(const Status& status) {
-  return status.code() == StatusCode::kInternal;
-}
+/// Subtracted from a degradable request's deadline when arming the
+/// watchdog: time reserved to compute the heuristic fallback.
+constexpr Tick kDegradedMargin = ticks::FromMillis(2);
 
 }  // namespace
 
@@ -257,48 +296,15 @@ Expected<SolveResult> ScheduleService::SolveWithResilience(const Job& job) {
   }
   const Tick deadline = job.request.deadline;
   if (job.request.allow_degraded && deadline != kTickInfinity) {
-    cancel_at = std::min(
-        cancel_at, std::max<Tick>(0, deadline - options_.degraded_margin));
+    cancel_at =
+        std::min(cancel_at, std::max<Tick>(0, deadline - kDegradedMargin));
   }
   const bool watched = cancel_at != kTickInfinity;
-
-  auto run_attempt = [&](int attempt) -> Expected<SolveResult> {
-    std::uint64_t id = 0;
-    if (watched) id = ArmWatchdog(cancel_at, &cancel);
-    Expected<SolveResult> r = [&]() -> Expected<SolveResult> {
-      if (options_.solve_fault_injector) {
-        Status injected = options_.solve_fault_injector(job.key, attempt);
-        if (!injected.ok()) return Expected<SolveResult>(injected);
-      }
-      return RunSolve(job.key, job.request, options_.solver_threads,
-                      watched ? &cancel : nullptr);
-    }();
-    if (watched) DisarmWatchdog(id);
-    return r;
-  };
-
-  int attempt = 0;
-  Expected<SolveResult> result = run_attempt(attempt);
-  while (!result.ok() && RetryableSolveFailure(result.status()) &&
-         attempt < options_.max_solve_retries &&
-         !cancel.load(std::memory_order_acquire)) {
-    // Exponential backoff with deterministic key-derived jitter. Never
-    // sleep past the cancel point or the deadline: a retry that cannot
-    // finish is worse than surfacing the failure (or degrading) now.
-    Tick backoff = options_.retry_backoff << std::min(attempt, 20);
-    const std::uint64_t salt =
-        graph::FingerprintHash{}(job.key) +
-        0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt + 1);
-    backoff += static_cast<Tick>(
-        salt % static_cast<std::uint64_t>(backoff + 1));
-    const Tick wake = WallNow() + backoff;
-    if (wake >= cancel_at) break;
-    if (deadline != kTickInfinity && wake >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-    ++attempt;
-    retried_.fetch_add(1, std::memory_order_relaxed);
-    result = run_attempt(attempt);
-  }
+  const std::uint64_t watch = watched ? ArmWatchdog(cancel_at, &cancel) : 0;
+  Expected<SolveResult> result =
+      RunSolve(job.key, job.request, options_.solver_threads,
+               watched ? &cancel : nullptr);
+  if (watched) DisarmWatchdog(watch);
 
   if (!job.request.allow_degraded) return result;
   if (result.ok()) {
@@ -334,12 +340,10 @@ Status ScheduleService::VerifyHit(const graph::Fingerprint& key,
   return status;
 }
 
-void ScheduleService::RunJob(Job job) {
+void ScheduleService::RunJob(const Job& job) {
   bool cancelled;
   {
     MutexLock lock(mu_);
-    SS_CHECK(queued_jobs_ > 0);
-    --queued_jobs_;
     // The pool drains still-queued tasks on the caller during Shutdown();
     // those must fail, not solve.
     cancelled = shutdown_;
@@ -360,7 +364,7 @@ void ScheduleService::RunJob(Job job) {
       auto heuristic = RunDegraded(job.key, job.request);
       if (heuristic.ok()) {
         degraded_.fetch_add(1, std::memory_order_relaxed);
-        FinishJob(job, std::move(heuristic));
+        FinishJob(job, heuristic);
         return;
       }
     }
@@ -403,14 +407,19 @@ void ScheduleService::RunJob(Job job) {
   } else {
     solve_failures_.fetch_add(1, std::memory_order_relaxed);
   }
-  FinishJob(job, std::move(result));
+  FinishJob(job, result);
 }
 
 void ScheduleService::FinishJob(const Job& job,
-                                Expected<SolveResult> result) {
-  job.promise->set_value(std::move(result));
-  MutexLock lock(mu_);
-  inflight_.erase(job.key);
+                                const Expected<SolveResult>& result) {
+  FlightMap::node_type flight;
+  {
+    MutexLock lock(mu_);
+    flight = inflight_.extract(job.key);
+    if (inflight_.empty()) drained_cv_.NotifyAll();
+  }
+  SS_CHECK(!flight.empty());
+  for (SolveCallback& done : flight.mapped()) done(result);
 }
 
 ServiceStats ScheduleService::Stats() const {
@@ -429,7 +438,6 @@ ServiceStats ScheduleService::Stats() const {
   stats.corrupt_rejected =
       corrupt_rejected_.load(std::memory_order_relaxed);
   stats.degraded = degraded_.load(std::memory_order_relaxed);
-  stats.retried = retried_.load(std::memory_order_relaxed);
   stats.watchdog_cancellations =
       watchdog_cancellations_.load(std::memory_order_relaxed);
   stats.snapshot_io_errors =
@@ -440,20 +448,22 @@ ServiceStats ScheduleService::Stats() const {
 }
 
 void ScheduleService::Shutdown() {
+  WorkerPool* pool;
   {
     MutexLock lock(mu_);
     shutdown_ = true;
+    pool = pool_.get();  // no SubmitAsync can start it from here on
   }
   // Running jobs finish normally; every job still queued in the pool runs
   // in cancel mode (RunJob observes shutdown_) either on a worker or, for
   // a threadless pool, right here on the caller.
-  pool_->Shutdown();
+  if (pool != nullptr) pool->Shutdown();
   {
+    // Wait out SolveOnCaller solves too: their results belong in the
+    // snapshot, and after them no cancel flag needs flipping.
     MutexLock lock(mu_);
-    inflight_.clear();
+    while (!inflight_.empty()) drained_cv_.Wait(lock);
   }
-  // All solves have drained (pool shutdown joins the workers), so no one
-  // still needs a cancel flag flipped.
   StopWatchdog();
 
   if (!options_.snapshot_path.empty() && !snapshot_saved_.exchange(true)) {

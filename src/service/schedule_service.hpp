@@ -1,25 +1,27 @@
-// Scheduler-as-a-service: a thread-pool front end over the Fig. 6 optimal
-// scheduler with a fingerprint-keyed schedule cache.
+// Scheduler-as-a-service: a front end over the Fig. 6 optimal scheduler
+// with a fingerprint-keyed schedule cache.
 //
-// The service accepts synchronous and asynchronous Solve requests with
-// per-request deadlines. Requests are keyed by the canonical fingerprint of
-// (problem, regime, scheduler options):
+// The service accepts synchronous, asynchronous and run-on-caller Solve
+// requests with per-request deadlines. Requests are keyed by the canonical
+// fingerprint of (problem, regime, scheduler options):
 //
 //   * cache hit      -> the stored schedule is returned immediately;
 //   * in-flight hit  -> the request coalesces onto the running solve
 //                       (single-flight: N concurrent identical requests cost
 //                       one solver invocation);
-//   * otherwise      -> the request is queued for a worker thread.
+//   * otherwise      -> one job body solves it, on a worker thread
+//                       (SubmitAsync) or on the caller's (SolveOnCaller).
 //
 // Backpressure is typed, not fatal: a full request queue rejects with
-// kWouldBlock, a request whose deadline passes before a worker picks it up
-// (or before the sync caller's wait expires) fails with kDeadlineExceeded,
-// and shutdown drains the queue with kCancelled. Counters for every path
-// are exported via ServiceStats.
+// kWouldBlock, a request whose deadline passes before its solve starts
+// (or before the solve ends: Solve stops waiting, SolveOnCaller answers
+// when it ends) fails with kDeadlineExceeded, and shutdown drains the
+// queue with kCancelled. Counters for every path are exported via
+// ServiceStats.
 //
-// Execution rides on the shared ss::WorkerPool (core/worker_pool.hpp): each
-// accepted request becomes one pool task, and the same pool primitive runs
-// the parallel branch-and-bound subtrees inside each solve.
+// SubmitAsync jobs are tasks on the shared ss::WorkerPool, started on first
+// use (core/worker_pool.hpp); the same pool primitive runs the parallel
+// branch-and-bound subtrees inside each solve.
 #pragma once
 
 #include <atomic>
@@ -29,6 +31,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "core/deadline.hpp"
 #include "core/error.hpp"
@@ -43,12 +46,12 @@
 namespace ss::service {
 
 struct ServiceOptions {
-  /// Worker threads. 0 is a valid (paused) configuration: requests queue up
-  /// but are only resolved by cache hits — used by tests and for staged
-  /// startup.
+  /// SubmitAsync worker threads. 0 is a valid (paused) configuration:
+  /// requests queue up but are only resolved by cache hits — used by tests
+  /// and for staged startup.
   int workers = 2;
-  /// Bounded request-queue depth; submissions beyond it are rejected with
-  /// kWouldBlock (backpressure).
+  /// Bounded SubmitAsync queue depth; submissions beyond it are rejected
+  /// with kWouldBlock (backpressure).
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 256;
   int cache_shards = 8;
@@ -68,21 +71,6 @@ struct ServiceOptions {
   /// OptimalOptions::cancel (the search keeps its best incumbent, which is
   /// served tagged kHeuristic). kTickInfinity disables the watchdog.
   Tick solver_watchdog = kTickInfinity;
-  /// Transient solve failures (kInternal) are retried up to this many extra
-  /// attempts before the error is surfaced.
-  int max_solve_retries = 2;
-  /// Base backoff before the first retry; doubles per attempt, plus a
-  /// deterministic jitter derived from the request key so identical
-  /// fingerprints racing across replicas do not retry in lockstep.
-  Tick retry_backoff = ticks::FromMillis(1);
-  /// Safety margin subtracted from a degradable request's deadline when
-  /// arming the watchdog, reserving time to compute the heuristic fallback
-  /// before the caller's wait expires.
-  Tick degraded_margin = ticks::FromMillis(2);
-  /// Test hook: called before every solve attempt (attempt numbers start at
-  /// 0); a non-OK status is treated as that attempt's solve failure. Used to
-  /// fault-inject the retry and degradation paths deterministically.
-  std::function<Status(const graph::Fingerprint&, int)> solve_fault_injector;
 };
 
 struct SolveRequest {
@@ -109,6 +97,7 @@ struct SolveRequest {
 
 using SolveResult = std::shared_ptr<const CachedSolve>;
 using SolveFuture = std::shared_future<Expected<SolveResult>>;
+using SolveCallback = std::function<void(Expected<SolveResult>)>;
 
 struct ServiceStats {
   std::uint64_t requests = 0;
@@ -129,8 +118,6 @@ struct ServiceStats {
   /// Requests answered with a heuristic (quality-tagged) schedule by the
   /// graceful-degradation path.
   std::uint64_t degraded = 0;
-  /// Solve attempts re-run after a transient failure.
-  std::uint64_t retried = 0;
   /// Solves cooperatively cancelled by the watchdog (budget or deadline).
   std::uint64_t watchdog_cancellations = 0;
   /// Snapshot saves that failed with an I/O error.
@@ -170,6 +157,13 @@ class ScheduleService {
   /// kDeadlineExceeded (the solve keeps running and still warms the cache).
   Expected<SolveResult> Solve(SolveRequest request);
 
+  /// Runs the solve on the calling thread and completes `done` exactly
+  /// once, Shutdown() included. A key already in flight joins that solve
+  /// and returns at once; the thread running it completes `done`. If the
+  /// request's deadline passed by the time the solve ends, `done` gets
+  /// kDeadlineExceeded (the result is still cached).
+  void SolveOnCaller(SolveRequest request, SolveCallback done);
+
   /// Cache-only probe: the cached solve for the request's key (restored
   /// artifacts are verified exactly as on the SubmitAsync hit path — a
   /// corrupt one is evicted and reported kCorruptArtifact), or kNotFound
@@ -180,16 +174,21 @@ class ScheduleService {
   ServiceStats Stats() const;
   ScheduleCache& cache() { return cache_; }
 
-  /// Stops workers, fails queued requests with kCancelled, saves the
-  /// snapshot when configured. Idempotent; called by the destructor.
+  /// Stops workers, fails queued requests with kCancelled, waits for every
+  /// running solve (SolveOnCaller ones included) to finish, then saves the
+  /// snapshot when configured. SolveOnCaller calls made after it fail with
+  /// kCancelled. Idempotent; called by the destructor.
   void Shutdown();
 
  private:
   struct Job {
     graph::Fingerprint key;
     SolveRequest request;
-    std::shared_ptr<std::promise<Expected<SolveResult>>> promise;
   };
+  /// Key -> everyone waiting on its queued or running solve.
+  using FlightMap = std::unordered_map<graph::Fingerprint,
+                                       std::vector<SolveCallback>,
+                                       graph::FingerprintHash>;
 
   /// Gate for serving a cache hit: entries restored from a snapshot are
   /// statically verified against the requesting problem spec before first
@@ -199,18 +198,18 @@ class ScheduleService {
   Status VerifyHit(const graph::Fingerprint& key, const SolveRequest& request,
                    const SolveResult& hit);
 
-  /// Body of one pool task: cancellation / deadline / second-chance-cache
-  /// checks, then the solve.
-  void RunJob(Job job);
-  void FinishJob(const Job& job, Expected<SolveResult> result);
+  /// Body of one job, on a pool worker or a SolveOnCaller caller:
+  /// cancellation / deadline / second-chance-cache checks, then the solve.
+  void RunJob(const Job& job) SS_EXCLUDES(mu_);
+  void FinishJob(const Job& job, const Expected<SolveResult>& result)
+      SS_EXCLUDES(mu_);
   static Expected<SolveResult> RunSolve(const graph::Fingerprint& key,
                                         const SolveRequest& request,
                                         int default_solver_threads,
                                         const std::atomic<bool>* cancel);
 
-  /// One solve with the full resilience stack: watchdog arming, bounded
-  /// retry with backoff, and — for degradable requests — the heuristic
-  /// fallback.
+  /// One solve with the resilience stack: watchdog arming and — for
+  /// degradable requests — the heuristic fallback.
   Expected<SolveResult> SolveWithResilience(const Job& job);
 
   /// Heuristic fallback: list-schedule + pipeline, tagged kHeuristic.
@@ -229,14 +228,14 @@ class ScheduleService {
   ScheduleCache cache_;
 
   mutable Mutex mu_;
-  /// Single-flight registry: key -> future of the queued/running solve.
-  std::unordered_map<graph::Fingerprint, SolveFuture,
-                     graph::FingerprintHash>
-      inflight_ SS_GUARDED_BY(mu_);
+  /// Single-flight registry.
+  FlightMap inflight_ SS_GUARDED_BY(mu_);
+  /// Signalled when inflight_ empties; Shutdown() waits on it.
+  CondVar drained_cv_;
   bool shutdown_ SS_GUARDED_BY(mu_) = false;
   /// Accepted jobs not yet picked up by a pool thread; bounds the queue.
   std::size_t queued_jobs_ SS_GUARDED_BY(mu_) = 0;
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<WorkerPool> pool_ SS_GUARDED_BY(mu_);
   std::atomic<bool> snapshot_saved_{false};
 
   struct Watched {
@@ -265,7 +264,6 @@ class ScheduleService {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> corrupt_rejected_{0};
   std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> watchdog_cancellations_{0};
   std::atomic<std::uint64_t> snapshot_io_errors_{0};
   std::atomic<Tick> solve_ticks_{0};

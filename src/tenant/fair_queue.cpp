@@ -4,13 +4,10 @@
 
 namespace ss::tenant {
 
-FairScheduler::FairScheduler(FairQueueOptions options)
-    : options_(options) {
-  SS_CHECK_MSG(options_.dispatch_threads >= 0,
-               "negative dispatcher count");
-  SS_CHECK_MSG(options_.quantum > 0.0, "quantum must be positive");
-  threads_.reserve(static_cast<std::size_t>(options_.dispatch_threads));
-  for (int i = 0; i < options_.dispatch_threads; ++i) {
+FairScheduler::FairScheduler(FairQueueOptions options) {
+  SS_CHECK_MSG(options.dispatch_threads >= 0, "negative dispatcher count");
+  threads_.reserve(static_cast<std::size_t>(options.dispatch_threads));
+  for (int i = 0; i < options.dispatch_threads; ++i) {
     threads_.emplace_back([this] { DispatcherLoop(); });
   }
 }
@@ -58,7 +55,7 @@ bool FairScheduler::NextJobLocked(FairJob* out,
   const std::size_t n = lanes_.size();
   // Each pass credits every backlogged lane once; total_queued_ > 0
   // guarantees some lane's deficit eventually crosses 1, so this
-  // terminates in at most ceil(1 / (quantum * min_weight)) passes (or
+  // terminates in at most ceil(1 / min_weight) passes (or
   // sooner, when expiry drains the last queued job).
   while (total_queued_ > 0) {
     for (std::size_t k = 0; k < n; ++k) {
@@ -81,7 +78,7 @@ bool FairScheduler::NextJobLocked(FairJob* out,
         continue;
       }
       if (lane.deficit < 1.0) {
-        lane.deficit += options_.quantum * lane.weight;
+        lane.deficit += lane.weight;
       }
       if (lane.deficit < 1.0) {
         cursor_ = (cursor_ + 1) % n;

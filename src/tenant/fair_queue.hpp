@@ -1,19 +1,19 @@
 // Weighted deficit-round-robin dispatch over bounded per-tenant queues.
 //
-// The fair scheduler sits between admission control and the shared solver
-// pool: every admitted request waits in its own tenant's bounded FIFO, and
-// a small set of dispatcher threads drains the queues in deficit-round-
-// robin order. Each visit credits a tenant `quantum * weight` units and
-// dispatches whole jobs (cost 1) while credit lasts, so over any busy
-// window tenant i receives a weight_i / sum(weights) share of dispatches:
-// heavy tenants cannot monopolize the pool and light tenants never starve
-// (every active tenant is visited once per round). A tenant whose queue
-// drains forfeits its remaining deficit — credit never accumulates while
-// idle, which is what bounds burstiness.
+// The fair scheduler sits between admission control and the solver: every
+// admitted request waits in its own tenant's bounded FIFO, and a small set
+// of dispatcher threads drains the queues in deficit-round-robin order.
+// Each visit credits a tenant `weight` units (fractional weights carry
+// over) and dispatches whole jobs (cost 1) while credit lasts, so over any
+// busy window tenant i receives a weight_i / sum(weights) share of
+// dispatches: heavy tenants cannot monopolize the solver and light tenants
+// never starve (every active tenant is visited once per round). A tenant
+// whose queue drains forfeits its remaining deficit — credit never
+// accumulates while idle, which is what bounds burstiness.
 //
-// Jobs are closures; dispatcher threads run them to completion before
-// taking the next one, so `dispatch_threads` is also the cap on in-flight
-// solver work submitted through this queue.
+// Jobs are closures that dispatcher threads run to completion before taking
+// the next one. The tenant front end's job solves right there (or joins an
+// in-flight solve and returns), so `dispatch_threads` caps running solves.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +50,6 @@ struct FairQueueOptions {
   /// configuration where jobs are only drained by DispatchOne()/Shutdown()
   /// — used by tests for deterministic accounting.
   int dispatch_threads = 2;
-  /// Credit granted per visit per unit weight. The default of 1 dispatches
-  /// ~weight jobs per round for integer weights; fractional weights simply
-  /// accumulate credit across rounds.
-  double quantum = 1.0;
 };
 
 struct FairQueueStats {
@@ -128,7 +124,6 @@ class FairScheduler {
       SS_REQUIRES(mu_);
   void DispatcherLoop() SS_EXCLUDES(mu_);
 
-  FairQueueOptions options_;
   mutable Mutex mu_;
   CondVar cv_;
   std::vector<Lane> lanes_ SS_GUARDED_BY(mu_);

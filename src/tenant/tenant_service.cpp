@@ -7,9 +7,8 @@ namespace ss::tenant {
 TenantScheduler::TenantScheduler(service::ScheduleService* service,
                                  TenantSchedulerOptions options)
     : service_(service),
-      options_(std::move(options)),
-      registry_(options_.registry),
-      fair_(FairQueueOptions{options_.dispatch_threads, options_.quantum}) {
+      registry_(std::move(options.registry)),
+      fair_(FairQueueOptions{options.dispatch_threads}) {
   SS_CHECK(service_ != nullptr);
 }
 
@@ -101,14 +100,19 @@ Status TenantScheduler::SubmitSolve(const std::string& tenant_name,
           return;
         }
         state->dispatched.fetch_add(1, std::memory_order_relaxed);
-        auto result = service_->Solve(std::move(request));
-        state->latency.Add(WallNow() - start);
-        if (result.ok()) {
-          state->completed.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          state->failed.fetch_add(1, std::memory_order_relaxed);
-        }
-        done(std::move(result), /*cache_hit=*/false);
+        // Solves on this dispatcher thread, or joins an in-flight solve.
+        service_->SolveOnCaller(
+            std::move(request),
+            [state, done = std::move(done),
+             start](Expected<service::SolveResult> result) {
+              state->latency.Add(WallNow() - start);
+              if (result.ok()) {
+                state->completed.fetch_add(1, std::memory_order_relaxed);
+              } else {
+                state->failed.fetch_add(1, std::memory_order_relaxed);
+              }
+              done(std::move(result), /*cache_hit=*/false);
+            });
       },
       queue_deadline);
   if (!queued.ok() && queued.code() == StatusCode::kWouldBlock) {

@@ -11,8 +11,8 @@
 //                         share (cache bandwidth is effectively free next
 //                         to solver time);
 //   4. FairScheduler    — misses wait in the tenant's bounded lane and are
-//                         dispatched weighted-deficit-round-robin onto the
-//                         solver pool.
+//                         dispatched weighted-deficit-round-robin to threads
+//                         that run the solves (SolveOnCaller).
 //
 // Completion is a callback (possibly inline for hits and rejected
 // submissions never invoke it), so the network layer can run this from an
@@ -35,11 +35,10 @@ namespace ss::tenant {
 
 struct TenantSchedulerOptions {
   RegistryOptions registry;
-  /// Dispatcher threads draining the fair queues; also the cap on
-  /// concurrently running solves submitted through this front end. Usually
-  /// matched to the service's worker count.
+  /// Dispatcher threads draining the fair queues. Each runs its dispatched
+  /// solve itself (ScheduleService::SolveOnCaller), so this is also the
+  /// cap on concurrently running solves submitted through this front end.
   int dispatch_threads = 2;
-  double quantum = 1.0;
 };
 
 class TenantScheduler {
@@ -65,7 +64,7 @@ class TenantScheduler {
   /// (unknown tenant kNotFound, rate limit kAdmissionRejected, lane full
   /// kWouldBlock, shutdown kCancelled) the callback is NOT invoked;
   /// otherwise it is invoked exactly once — inline for cache hits and
-  /// fast-path errors, on a dispatcher thread after the solve otherwise.
+  /// fast-path errors, on the thread that ran the solve otherwise.
   Status SubmitSolve(const std::string& tenant_name,
                      service::SolveRequest request, Callback done);
 
@@ -94,7 +93,6 @@ class TenantScheduler {
       const std::string& name);
 
   service::ScheduleService* service_;
-  TenantSchedulerOptions options_;
   TenantRegistry registry_;
   FairScheduler fair_;
   /// Serializes registration so registry indexes and fair-queue lanes

@@ -1,4 +1,4 @@
-#include "net/chaos.hpp"
+#include "chaos.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>

@@ -19,6 +19,9 @@
 //
 // Single proxy thread, poll()-based, owns all sockets; Stats() counters
 // are relaxed atomics readable from any thread.
+//
+// Test support, not product code: the library that builds it (ss_chaos) is
+// linked by the chaos tests and bench/loadgen's soak only.
 #pragma once
 
 #include <atomic>

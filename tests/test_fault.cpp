@@ -1,7 +1,7 @@
 // Fault-tolerance tests: the fault model (plans, machine health, degraded
 // mode spaces), fault injection in the online simulator, degraded schedule
 // tables and the fault-tolerant manager's table-switch recovery, the
-// service's resilience paths (retry, watchdog cancellation, graceful
+// service's resilience paths (watchdog cancellation, graceful
 // degradation), and crash-safe snapshot round trips.
 #include <gtest/gtest.h>
 
@@ -438,64 +438,16 @@ service::ServiceOptions ServiceOpts(int workers) {
   return options;
 }
 
-TEST(ResilientServiceTest, RetriesTransientFailures) {
-  service::ServiceOptions options = ServiceOpts(1);
-  options.max_solve_retries = 3;
-  options.retry_backoff = ticks::FromMicros(200);
-  std::atomic<int> attempts{0};
-  options.solve_fault_injector = [&](const graph::Fingerprint&,
-                                     int attempt) -> Status {
-    attempts.fetch_add(1);
-    if (attempt < 2) return InternalError("injected transient blip");
-    return OkStatus();
-  };
-  service::ScheduleService service(options);
-
-  service::SolveRequest request;
-  request.problem = MakeSpec(1);
-  auto result = service.Solve(request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ((*result)->quality, sched::ScheduleQuality::kOptimal);
-  EXPECT_EQ(attempts.load(), 3);
-
-  auto stats = service.Stats();
-  EXPECT_EQ(stats.retried, 2u);
-  EXPECT_EQ(stats.solves, 1u);
-  EXPECT_EQ(stats.solve_failures, 0u);
-}
-
-TEST(ResilientServiceTest, SurfacesErrorWhenRetriesExhausted) {
-  service::ServiceOptions options = ServiceOpts(1);
-  options.max_solve_retries = 2;
-  options.retry_backoff = ticks::FromMicros(100);
-  options.solve_fault_injector = [](const graph::Fingerprint&, int) {
-    return InternalError("persistent failure");
-  };
-  service::ScheduleService service(options);
-
-  service::SolveRequest request;
-  request.problem = MakeSpec(2);
-  auto result = service.Solve(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-
-  auto stats = service.Stats();
-  EXPECT_EQ(stats.retried, 2u);
-  EXPECT_EQ(stats.solve_failures, 1u);
-  EXPECT_EQ(stats.degraded, 0u);
-}
-
 TEST(ResilientServiceTest, DegradesToHeuristicOnPersistentFailure) {
-  service::ServiceOptions options = ServiceOpts(1);
-  options.max_solve_retries = 1;
-  options.retry_backoff = ticks::FromMicros(100);
-  options.solve_fault_injector = [](const graph::Fingerprint&, int) {
-    return InternalError("solver is on fire");
-  };
-  service::ScheduleService service(options);
+  // A real solver failure, identical on every attempt: with no seed
+  // incumbent and a one-node budget the search ends before any complete
+  // schedule (kInternal).
+  service::ScheduleService service(ServiceOpts(1));
 
   service::SolveRequest request;
   request.problem = MakeSpec(3);
+  request.options.pruning.seed_incumbent = false;
+  request.options.max_nodes = 1;
   request.allow_degraded = true;
   auto result = service.Solve(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -509,6 +461,16 @@ TEST(ResilientServiceTest, DegradesToHeuristicOnPersistentFailure) {
   EXPECT_EQ(service.cache().Lookup(
                 service::ScheduleService::RequestKey(request)),
             nullptr);
+
+  // The same request without degradation surfaces the failure, typed.
+  request.allow_degraded = false;
+  auto failed = service.Solve(request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
+      << failed.status().ToString();
+  stats = service.Stats();
+  EXPECT_EQ(stats.solve_failures, 1u);
+  EXPECT_EQ(stats.degraded, 1u);
 }
 
 TEST(ResilientServiceTest, PastDeadlineServedHeuristicWhenDegradable) {
@@ -588,8 +550,11 @@ void WriteFileOrDie(const std::string& path, const std::string& content) {
 
 class SnapshotCrashSafetyTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs these tests as concurrent processes.
   SnapshotCrashSafetyTest()
-      : path_(::testing::TempDir() + "fault_test_snapshot.sscache") {
+      : path_(::testing::TempDir() + "fault_test_snapshot_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".sscache") {
     std::remove(path_.c_str());
     service::ServiceOptions options;
     options.workers = 1;

@@ -18,13 +18,20 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/crc32.hpp"
+#include "core/rng.hpp"
 #include "graph/graph_io.hpp"
+#include "graph/synthetic.hpp"
 #include "net/async_client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -54,6 +61,38 @@ std::string ProblemText(int salt) {
   spec.regime_count = 1;
   return graph::FormatProblem(spec);
 }
+
+/// Problem text of graph::MakeForkJoin(Rng(seed), width) on `procs`
+/// processors with free communication.
+std::string ForkJoinText(std::uint64_t seed, int width, int procs) {
+  Rng rng(seed);
+  graph::SyntheticProblem dag = graph::MakeForkJoin(rng, width);
+  graph::ProblemSpec spec;
+  spec.graph = dag.graph;
+  spec.costs = dag.costs;
+  spec.machine = graph::MachineConfig::SingleNode(procs);
+  spec.comm = graph::CommModel::Free();
+  spec.regime_count = 1;
+  return graph::FormatProblem(spec);
+}
+
+/// A solve that runs for seconds: the exact search exhausts the default
+/// 20M-node budget (~2.5 s on a 4-vCPU x86 host, RelWithDebInfo). Tests
+/// end it with ServiceOptions::solver_watchdog. Widths 5 and 6 are two
+/// distinct problems.
+std::string SlowProblemText(int width = 5) {
+  return ForkJoinText(7, width, 2);
+}
+
+/// A solve that completes optimally, in ~1M nodes (~140 ms on the same
+/// host): long enough for a short deadline to pass, or for a duplicate to
+/// arrive while it runs.
+std::string MediumProblemText() { return ForkJoinText(44, 6, 2); }
+
+/// A solve that completes optimally in ~2.3M nodes (~330 ms on the same
+/// host, ~7 s under TSan, ~17 s in an ASan+UBSan Debug build): several
+/// times longer than an 80 ms deadline on any host.
+std::string LongProblemText() { return ForkJoinText(38, 6, 2); }
 
 SolveRequestMsg SolveMsg(const std::string& tenant, int salt) {
   SolveRequestMsg msg;
@@ -416,6 +455,30 @@ tenant::TenantSchedulerOptions Dispatchers(int n) {
   return options;
 }
 
+/// A service whose solves the watchdog ends after `budget`.
+service::ServiceOptions Watchdog(Tick budget) {
+  service::ServiceOptions options;
+  options.solver_watchdog = budget;
+  return options;
+}
+
+SolveRequestMsg SlowSolveMsg(const std::string& tenant, int width = 5) {
+  SolveRequestMsg msg;
+  msg.tenant = tenant;
+  msg.problem_text = SlowProblemText(width);
+  return msg;
+}
+
+/// Threads in this process right now.
+int ProcessThreads() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(NetServer, SolveLookupStatsHealthHappyPath) {
   TestServer ts(Workers(2), Dispatchers(2));
   AsyncClient client;
@@ -471,17 +534,129 @@ TEST(NetServer, SolveLookupStatsHealthHappyPath) {
 }
 
 TEST(NetServer, DeadlineExceededRoundTripsTyped) {
-  // Paused service: the dispatched solve can only end by deadline.
-  TestServer ts(Workers(0), Dispatchers(1));
+  // The dispatched solve outlasts its deadline: the watchdog ends it at
+  // 200 ms, well past the 50 ms deadline.
+  TestServer ts(Watchdog(ticks::FromMillis(200)), Dispatchers(1));
   AsyncClient client;
   ASSERT_TRUE(ts.StartAndConnect(&client).ok());
 
-  SolveRequestMsg msg = SolveMsg("alice", 2);
+  SolveRequestMsg msg = SlowSolveMsg("alice");
   msg.deadline_micros = 50000;  // 50 ms
   auto result = client.Solve(msg);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status().ToString();
+}
+
+TEST(NetServer, LateSolveIsCachedBeforeItsDeadlineErrorLeaves) {
+  // A solve that starts before its deadline runs to completion; the
+  // request gets DEADLINE_EXCEEDED when it ends, by which time the result
+  // is cached, so a LOOKUP right after finds it. The idle dispatcher has
+  // the whole 80 ms deadline to pick the request up, and the solve
+  // outlasts it several times over.
+  TestServer ts(Workers(2), Dispatchers(1));
+  AsyncClientOptions slow_solves;
+  slow_solves.io_timeout = ticks::FromSeconds(120);  // sanitizer builds
+  AsyncClient client(slow_solves);
+  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+
+  SolveRequestMsg msg;
+  msg.tenant = "alice";
+  msg.problem_text = LongProblemText();
+  msg.deadline_micros = 80000;  // 80 ms
+  auto late = client.Solve(msg);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded)
+      << late.status().ToString();
+
+  LookupRequestMsg lookup;
+  lookup.tenant = "alice";
+  lookup.problem_text = msg.problem_text;
+  auto found = client.Lookup(lookup);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_TRUE(found->found);
+  EXPECT_EQ(found->summary.quality, 0) << "expected a proven-optimal result";
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->solves, 1u);
+  EXPECT_EQ(stats->deadline_exceeded, 1u);
+}
+
+TEST(NetServer, CoalescedSolveDoesNotHoldADispatcher) {
+  // Two dispatchers. S runs on one of them until the watchdog ends it; its
+  // duplicate S' joins S's solve and frees the other dispatcher, which
+  // then solves the quick Q while S still runs.
+  service::ServiceOptions service_options = Workers(2);
+  service_options.solver_watchdog = ticks::FromMillis(500);
+  TestServer ts(std::move(service_options), Dispatchers(2));
+  AsyncClient client;
+  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> order;
+  auto record = [&](std::string name) {
+    return [&, name](Expected<SolveResponseMsg> result) {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(result.ok() ? name : name + " failed");
+      cv.notify_all();
+    };
+  };
+  client.SolveAsync(SlowSolveMsg("alice"), record("S"));
+  client.SolveAsync(SlowSolveMsg("alice"), record("S'"));
+  client.SolveAsync(SolveMsg("alice", 40), record("Q"));
+
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return order.size() == 3; }));
+  }
+  EXPECT_EQ(order[0], "Q");
+  EXPECT_NE(std::find(order.begin(), order.end(), "S"), order.end());
+  EXPECT_NE(std::find(order.begin(), order.end(), "S'"), order.end());
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->solves, 2u);
+  EXPECT_EQ(stats->coalesced, 1u);
+}
+
+TEST(NetServer, ServedSolvesRunOnDispatcherThreads) {
+  // One loop and two dispatchers are the whole served path: the
+  // dispatchers run the solves, so the service's worker pool never
+  // starts, not for a cold solve and not for a coalesced pair.
+  RawConn conn;  // no thread of its own
+  // A sanitizer runtime may start a helper thread of its own on the
+  // process's first thread creation: get that out of the way first.
+  std::thread([] {}).join();
+  const int before = ProcessThreads();
+  TestServer ts(Workers(2), Dispatchers(2));
+  ASSERT_TRUE(ts.StartAndConnect(&conn).ok());
+  EXPECT_EQ(ProcessThreads() - before, 3);
+
+  const auto cold = SolveFrame(SolveMsg("alice", 42), 1);
+  ASSERT_TRUE(conn.SendBytes(cold.data(), cold.size()).ok());
+  auto solved = conn.ReadFrame();
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_EQ(solved->type, MsgType::kSolveOk);
+
+  SolveRequestMsg medium;
+  medium.tenant = "alice";
+  medium.problem_text = MediumProblemText();
+  std::vector<std::uint8_t> pair = SolveFrame(medium, 2);
+  const std::vector<std::uint8_t> twin = SolveFrame(medium, 3);
+  pair.insert(pair.end(), twin.begin(), twin.end());
+  ASSERT_TRUE(conn.SendBytes(pair.data(), pair.size()).ok());
+  for (int i = 0; i < 2; ++i) {
+    auto answer = conn.ReadFrame();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->type, MsgType::kSolveOk);
+  }
+  const service::ServiceStats stats = ts.service.Stats();
+  EXPECT_EQ(stats.solves, 2u);
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(ProcessThreads() - before, 3);
 }
 
 TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
@@ -563,20 +738,68 @@ TEST(NetServer, AdmissionRejectionRoundTripsTyped) {
   EXPECT_EQ(stats->tenants[0].rejected_rate_limited, 1u);
 }
 
-TEST(NetServer, CorruptArtifactRoundTripsTyped) {
-  service::ServiceOptions service_options = Workers(2);
-  service_options.max_solve_retries = 0;
-  service_options.solve_fault_injector = [](const graph::Fingerprint&, int) {
-    return CorruptArtifactError("injected corrupt artifact");
-  };
-  TestServer ts(std::move(service_options), Dispatchers(1));
-  AsyncClient client;
-  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+/// Inflates the recorded minimal latency of every entry in a saved
+/// snapshot by one tick and re-seals its CRC. The snapshot stays
+/// structurally legal, so it loads; only the serve-time check against the
+/// problem can see that the metadata no longer matches the schedule.
+void InflateSnapshotLatency(const std::string& path, Tick honest_latency) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::ostringstream out;
+  std::string line;
+  const std::string needle = " min_latency=" + std::to_string(honest_latency);
+  while (std::getline(in, line)) {
+    if (line.rfind("crc ", 0) == 0) continue;  // re-sealed below
+    if (line.rfind("entry ", 0) == 0) {
+      const auto pos = line.find(needle);
+      ASSERT_NE(pos, std::string::npos) << line;
+      line.replace(pos, needle.size(),
+                   " min_latency=" + std::to_string(honest_latency + 1));
+    }
+    out << line << "\n";
+  }
+  in.close();
+  std::string body = out.str();
+  char footer[24];
+  std::snprintf(footer, sizeof(footer), "crc %08x\n", Crc32(body));
+  body += footer;
+  std::ofstream rewrite(path, std::ios::trunc);
+  rewrite << body;
+}
 
-  auto result = client.Solve(SolveMsg("erin", 8));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruptArtifact)
-      << result.status().ToString();
+TEST(NetServer, CorruptArtifactRoundTripsTyped) {
+  const std::string path = "test_net_corrupt.sscache";
+  std::remove(path.c_str());
+  service::ServiceOptions service_options = Workers(2);
+  service_options.snapshot_path = path;
+  {
+    // Solve the problem once and save it to the snapshot.
+    auto spec = graph::ParseProblem(ProblemText(8));
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    service::ScheduleService seed(service_options);
+    service::SolveRequest request;
+    request.problem =
+        std::make_shared<const graph::ProblemSpec>(std::move(*spec));
+    auto solved = seed.Solve(request);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    seed.Shutdown();
+    InflateSnapshotLatency(path, (*solved)->min_latency);
+  }
+  {
+    TestServer ts(service_options, Dispatchers(1));
+    ASSERT_EQ(ts.service.cache().size(), 1u);
+    AsyncClient client;
+    ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+
+    auto result = client.Solve(SolveMsg("erin", 8));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruptArtifact)
+        << result.status().ToString();
+    auto stats = client.Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->corrupt_rejected, 1u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(NetServer, UnknownTenantRoundTripsTyped) {
@@ -913,10 +1136,11 @@ TEST(AsyncClientTest, BlockingVerbsRoundTripOverV2) {
 }
 
 TEST(AsyncClientTest, ResponsesCompleteOutOfOrder) {
-  // Paused workers: the solve can only finish via its 400 ms deadline,
-  // while health is answered inline; request_id correlation is what lets
-  // the client pair the two responses out of order.
-  TestServer ts(Workers(0), Dispatchers(1));
+  // The solve outlasts its 400 ms deadline and is answered when the
+  // watchdog ends it at 450 ms, while health is answered inline;
+  // request_id correlation is what lets the client pair the two responses
+  // out of order.
+  TestServer ts(Watchdog(ticks::FromMillis(450)), Dispatchers(1));
   ASSERT_TRUE(ts.server.Start().ok());
   AsyncClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
@@ -926,7 +1150,7 @@ TEST(AsyncClientTest, ResponsesCompleteOutOfOrder) {
   std::vector<std::string> order;
   Status solve_status = OkStatus();
 
-  SolveRequestMsg solve = SolveMsg("alice", 32);
+  SolveRequestMsg solve = SlowSolveMsg("alice");
   solve.deadline_micros = 400000;
   client.SolveAsync(solve, [&](Expected<SolveResponseMsg> result) {
     std::lock_guard<std::mutex> lock(mu);
@@ -952,7 +1176,9 @@ TEST(AsyncClientTest, ResponsesCompleteOutOfOrder) {
 }
 
 TEST(AsyncClientTest, WindowBoundsInFlight) {
-  TestServer ts(Workers(0), Dispatchers(1));
+  // One dispatcher: the first solve runs until the watchdog ends it at
+  // 450 ms, and the second waits in the lane behind it.
+  TestServer ts(Watchdog(ticks::FromMillis(450)), Dispatchers(1));
   ASSERT_TRUE(ts.server.Start().ok());
   AsyncClientOptions options;
   options.window = 2;
@@ -961,8 +1187,8 @@ TEST(AsyncClientTest, WindowBoundsInFlight) {
 
   // Two parked solves fill the window.
   std::atomic<int> solves_done{0};
-  for (int salt = 0; salt < 2; ++salt) {
-    SolveRequestMsg solve = SolveMsg("alice", 33 + salt);
+  for (int width = 5; width <= 6; ++width) {
+    SolveRequestMsg solve = SlowSolveMsg("alice", width);
     solve.deadline_micros = 300000;
     client.SolveAsync(solve, [&](Expected<SolveResponseMsg>) {
       solves_done.fetch_add(1);
@@ -971,7 +1197,7 @@ TEST(AsyncClientTest, WindowBoundsInFlight) {
   EXPECT_EQ(client.InFlight(), 2u);
 
   // A third request blocks in Submit until a window slot frees (when the
-  // parked solves expire), then completes normally.
+  // first solve ends past its deadline), then completes normally.
   std::atomic<bool> health_done{false};
   std::thread blocked([&] {
     auto health = client.Health();
@@ -983,28 +1209,35 @@ TEST(AsyncClientTest, WindowBoundsInFlight) {
   EXPECT_EQ(client.InFlight(), 2u);
   blocked.join();
   EXPECT_TRUE(health_done.load());
+  // The second solve's answer can trail the health response: its
+  // dispatcher, just off a long solve, may lose the CPU for a while to the
+  // loop it woke with the first answer.
+  for (int i = 0; i < 3000 && solves_done.load() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(solves_done.load(), 2);
 }
 
 TEST(AsyncClientTest, ExpiredRequestsDropTheirLateResponses) {
-  // Client-side deadline (100 ms) fires long before the server's (400 ms):
-  // the request completes kDeadlineExceeded locally, and the late server
-  // response is dropped by request_id instead of poisoning the stream.
-  TestServer ts(Workers(0), Dispatchers(1));
+  // Client-side deadline (100 ms) fires long before the server's (400 ms,
+  // answered when the watchdog ends the solve at 450 ms): the request
+  // completes kDeadlineExceeded locally, and the late server response is
+  // dropped by request_id instead of poisoning the stream.
+  TestServer ts(Watchdog(ticks::FromMillis(450)), Dispatchers(1));
   ASSERT_TRUE(ts.server.Start().ok());
   AsyncClientOptions options;
   options.io_timeout = ticks::FromMillis(100);
   AsyncClient client(options);
   ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
 
-  SolveRequestMsg solve = SolveMsg("alice", 35);
+  SolveRequestMsg solve = SlowSolveMsg("alice");
   solve.deadline_micros = 400000;
   auto result = client.Solve(solve);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status().ToString();
 
-  // Wait past the server-side expiry so its response actually arrives.
+  // Wait past the server's answer so the late response actually arrives.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_TRUE(client.connected());
   auto health = client.Health();

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "graph/graph_io.hpp"
+#include "chaos.hpp"
 #include "net/async_client.hpp"
-#include "net/chaos.hpp"
 #include "net/protocol.hpp"
 #include "net/resilient_client.hpp"
 #include "net/server.hpp"

@@ -263,6 +263,31 @@ TEST(OptimalSchedulerTest, CollectsMultipleOptimalSchedules) {
   }
 }
 
+TEST(OptimalSchedulerTest, LatencyModeRejectsEmptyScheduleSetCap) {
+  // Latency mode picks its answer from S, so a cap below 1 is a caller
+  // error, not a search failure. Throughput mode only reports S and keeps
+  // accepting it.
+  ChainFixture fx({100, 200, 300});
+  OptimalScheduler sched(fx.graph, fx.costs, CommModel::Free(),
+                         MachineConfig::SingleNode(2));
+  const std::vector<VariantId> serial(fx.tasks.size(), VariantId(0));
+  for (int cap : {0, -1}) {
+    OptimalOptions opts;
+    opts.max_optimal_schedules = cap;
+    auto result = sched.Schedule(kR0, opts);
+    ASSERT_FALSE(result.ok()) << "cap " << cap;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+    auto pinned = sched.ScheduleWithVariants(kR0, serial, opts);
+    ASSERT_FALSE(pinned.ok()) << "cap " << cap;
+    EXPECT_EQ(pinned.status().code(), StatusCode::kInvalidArgument)
+        << pinned.status().ToString();
+    auto bounded = sched.ScheduleForThroughput(kR0, 600, opts);
+    ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+    EXPECT_EQ(bounded->min_latency, 600);
+  }
+}
+
 TEST(OptimalSchedulerTest, TrackerGraphAllRegimesTractable) {
   // The headline tractability claim: the full 5-task tracker graph with all
   // T4 variants, for every regime 1..8 models, on a 4-way SMP.

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,8 +16,10 @@
 #include <vector>
 
 #include "core/crc32.hpp"
+#include "core/rng.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/graph_io.hpp"
+#include "graph/synthetic.hpp"
 #include "regime/regime.hpp"
 #include "regime/schedule_table.hpp"
 #include "sched/optimal.hpp"
@@ -224,10 +228,24 @@ TEST(ScheduleServiceTest, BudgetExhaustedSolveIsHeuristicAndCached) {
   EXPECT_EQ(stats.degraded, 0u);
 }
 
+/// SolveOnCaller, waited for: the callback runs on this thread, or on the
+/// thread running a solve this request joined.
+Expected<SolveResult> SolveHere(ScheduleService& service,
+                                SolveRequest request) {
+  auto done = std::make_shared<std::promise<Expected<SolveResult>>>();
+  std::future<Expected<SolveResult>> result = done->get_future();
+  service.SolveOnCaller(std::move(request),
+                        [done](Expected<SolveResult> solved) {
+                          done->set_value(std::move(solved));
+                        });
+  return result.get();
+}
+
 TEST(ScheduleServiceTest, SingleFlightUnderConcurrentMixedLoad) {
   // 8 threads x 100 mixed requests over 5 distinct problems must cost
   // exactly 5 solver invocations: every other request is a cache hit or
-  // coalesces onto an in-flight solve.
+  // coalesces onto an in-flight solve. Even threads go through the pool,
+  // odd ones solve on their own thread: both share one single-flight map.
   constexpr int kThreads = 8;
   constexpr int kRequestsPerThread = 100;
   constexpr int kProblems = 5;
@@ -246,7 +264,8 @@ TEST(ScheduleServiceTest, SingleFlightUnderConcurrentMixedLoad) {
         SolveRequest request;
         request.problem =
             problems[static_cast<std::size_t>((t + i) % kProblems)];
-        auto result = service.Solve(request);
+        auto result = t % 2 == 0 ? service.Solve(request)
+                                 : SolveHere(service, request);
         if (!result.ok() ||
             (*result)->schedule.initiation_interval <= 0) {
           failures.fetch_add(1);
@@ -266,6 +285,74 @@ TEST(ScheduleServiceTest, SingleFlightUnderConcurrentMixedLoad) {
                                        kProblems));
   EXPECT_EQ(stats.solve_failures, 0u);
   EXPECT_EQ(stats.cache.entries, static_cast<std::size_t>(kProblems));
+}
+
+TEST(ScheduleServiceTest, SolveOnCallerNeedsNoPoolAndCompletesOnce) {
+  // workers = 0: the pool could never run a job, so the solve can only
+  // happen on the calling thread.
+  ScheduleService service(Opts(0));
+  SolveRequest request;
+  request.problem = MakeProblem(7);
+  int calls = 0;
+  std::thread::id ran_on;
+  service.SolveOnCaller(request, [&](Expected<SolveResult> result) {
+    ++calls;
+    ran_on = std::this_thread::get_id();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(service.Stats().solves, 1u);
+  EXPECT_NE(service.cache().Lookup(ScheduleService::RequestKey(request)),
+            nullptr);
+
+  // After Shutdown the callback still runs, once, with kCancelled.
+  service.Shutdown();
+  request.problem = MakeProblem(8);
+  StatusCode code = StatusCode::kOk;
+  service.SolveOnCaller(request, [&](Expected<SolveResult> result) {
+    ++calls;
+    code = result.ok() ? StatusCode::kOk : result.status().code();
+  });
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(code, StatusCode::kCancelled);
+  EXPECT_EQ(service.Stats().solves, 1u);
+}
+
+TEST(ScheduleServiceTest, ShutdownWaitsForSolvesOnCallerThreads) {
+  // Shutdown() while another thread's SolveOnCaller solve runs returns
+  // only after that solve has answered, and its result is in the snapshot.
+  const std::string path = "test_service_shutdown_wait.sscache";
+  std::remove(path.c_str());
+  Rng rng(8);
+  const graph::SyntheticProblem dag = graph::MakeForkJoin(rng, 6);
+  auto problem = std::make_shared<graph::ProblemSpec>();
+  problem->graph = dag.graph;  // ~340k search nodes: tens of milliseconds
+  problem->costs = dag.costs;
+  problem->machine = graph::MachineConfig::SingleNode(2);
+  problem->comm = graph::CommModel::Free();
+  problem->regime_count = 1;
+  SolveRequest request;
+  request.problem = problem;
+  {
+    ScheduleService service(Opts(0, 64, path));
+    std::atomic<bool> answered{false};
+    std::thread caller([&] {
+      service.SolveOnCaller(request, [&](Expected<SolveResult> result) {
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        answered = true;
+      });
+    });
+    while (service.Stats().solves == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    service.Shutdown();
+    EXPECT_TRUE(answered) << "Shutdown returned while the solve still ran";
+    caller.join();
+  }
+  ScheduleService restarted(Opts(0, 64, path));
+  EXPECT_EQ(restarted.cache().size(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(ScheduleServiceTest, ExpiredDeadlineIsATypedError) {

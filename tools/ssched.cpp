@@ -90,7 +90,8 @@ int Usage(const char* argv0) {
       "                 [queue=N]'; unlisted tenants auto-register with\n"
       "                 defaults\n"
       "  --max-tenants N  registry capacity (default 64)\n"
-      "  --workers N    service worker threads (default: half the\n"
+      "  --workers N    solver threads: fair-queue dispatchers that each\n"
+      "                 run one solve at a time (default: half the\n"
       "                 hardware threads, at least 2)\n"
       "  --snapshot F   warm-cache snapshot file loaded at startup and\n"
       "                 written on drain\n"
@@ -317,27 +318,28 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 void HandleStopSignal(int) { g_stop_requested = 1; }
 
 /// `--serve` implementation: the full multi-tenant scheduling daemon —
-/// ScheduleService (solver pool + cache) behind a TenantScheduler
-/// (admission + weighted fair queueing) behind the epoll TCP server
-/// (docs/net.md). Runs until SIGINT/SIGTERM, then drains gracefully.
+/// ScheduleService (solver + cache) behind a TenantScheduler (admission +
+/// weighted fair queueing; its dispatchers run the solves) behind the
+/// epoll TCP server (docs/net.md). Runs until SIGINT/SIGTERM, then drains
+/// gracefully.
 int ServeCommand(const std::string& host, int port,
                  const std::string& tenants_file, int max_tenants,
                  int workers, int solver_threads,
                  const std::string& snapshot_path, int max_pending_solves,
                  int max_inflight, int loop_threads) {
+  // Served solves run on the tenant dispatchers (SolveOnCaller), so the
+  // service's own pool and queue are never used here and stay unset.
   service::ServiceOptions sopts;
-  sopts.workers =
-      workers > 0 ? workers
-                  : static_cast<int>(std::max(
-                        2u, std::thread::hardware_concurrency() / 2));
-  sopts.queue_capacity = 256;
   sopts.solver_threads = solver_threads;
   sopts.snapshot_path = snapshot_path;
   service::ScheduleService service(sopts);
 
   tenant::TenantSchedulerOptions topts;
   topts.registry.max_tenants = static_cast<std::size_t>(max_tenants);
-  topts.dispatch_threads = sopts.workers;
+  topts.dispatch_threads =
+      workers > 0 ? workers
+                  : static_cast<int>(std::max(
+                        2u, std::thread::hardware_concurrency() / 2));
   tenant::TenantScheduler tenants(&service, topts);
   if (!tenants_file.empty()) {
     auto configs = tenant::LoadTenantConfigFile(tenants_file);
@@ -372,7 +374,8 @@ int ServeCommand(const std::string& host, int port,
     return 1;
   }
   std::printf("ssched serving on %s:%d  (%d workers, max %d tenants)\n",
-              host.c_str(), server.port(), sopts.workers, max_tenants);
+              host.c_str(), server.port(), topts.dispatch_threads,
+              max_tenants);
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleStopSignal);
