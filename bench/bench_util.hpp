@@ -39,10 +39,16 @@ inline void PrintNote(const std::string& note) {
 
 /// Machine-readable sidecar for bench results. Collects one record per
 /// measurement and, if `--json <file>` was on the command line, writes them
-/// as a JSON array of {"name", "median_ms", "p95_ms"} objects so CI or
-/// notebooks can diff runs without scraping the console tables.
+/// as a JSON array of {"name", "median", "p95", "unit", "better"} objects
+/// (the field names BENCHMARK.json uses) so CI or notebooks can diff runs
+/// without scraping the console tables, and tools/bench_compare knows each
+/// record's direction without guessing it from the name.
 class JsonReport {
  public:
+  /// Which way a record improves. kNone marks an informational record
+  /// (a search counter, say): printed, never gated.
+  enum class Better { kLower, kHigher, kNone };
+
   /// Scans argv for `--json <file>`; an empty path disables emission.
   /// The flag (and operand) are left in argv — benches that forward argv to
   /// another harness should strip them with `StripJsonFlag`.
@@ -72,8 +78,9 @@ class JsonReport {
 
   bool enabled() const { return !path_.empty(); }
 
-  void Add(const std::string& name, double median_ms, double p95_ms) {
-    records_.push_back({name, median_ms, p95_ms});
+  void Add(const std::string& name, double median, double p95,
+           const std::string& unit, Better better) {
+    records_.push_back({name, median, p95, unit, better});
   }
 
   /// Writes the collected records; returns false (with a stderr note) if
@@ -90,9 +97,11 @@ class JsonReport {
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       std::fprintf(f,
-                   "  {\"name\": \"%s\", \"median_ms\": %.6f, "
-                   "\"p95_ms\": %.6f}%s\n",
-                   Escaped(r.name).c_str(), r.median_ms, r.p95_ms,
+                   "  {\"name\": \"%s\", \"median\": %.6f, "
+                   "\"p95\": %.6f, \"unit\": \"%s\", "
+                   "\"better\": \"%s\"}%s\n",
+                   Escaped(r.name).c_str(), r.median, r.p95,
+                   Escaped(r.unit).c_str(), BetterName(r.better),
                    i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
@@ -105,9 +114,20 @@ class JsonReport {
  private:
   struct Record {
     std::string name;
-    double median_ms;
-    double p95_ms;
+    double median;
+    double p95;
+    std::string unit;
+    Better better;
   };
+
+  static const char* BetterName(Better better) {
+    switch (better) {
+      case Better::kLower: return "lower";
+      case Better::kHigher: return "higher";
+      case Better::kNone: return "none";
+    }
+    return "none";
+  }
 
   static std::string Escaped(const std::string& s) {
     std::string out;

@@ -140,8 +140,10 @@ int RunRecoveryTrials(bench::JsonReport& report) {
       "  trials over bound: %d\n",
       trials, lat.median, lat.p95, ticks::ToSeconds(bound) * 1e3,
       lost.median, lost.p95, over_bound);
-  report.Add("fault_recovery_latency", lat.median, lat.p95);
-  report.Add("fault_frames_lost", lost.median, lost.p95);
+  report.Add("fault_recovery_latency", lat.median, lat.p95, "ms",
+             bench::JsonReport::Better::kLower);
+  report.Add("fault_frames_lost", lost.median, lost.p95, "frames",
+             bench::JsonReport::Better::kLower);
   return over_bound == 0 ? 0 : 1;
 }
 
@@ -219,7 +221,8 @@ int RunKillTorture(bench::JsonReport& report) {
       "snapshot kill torture: %d/%d SIGKILL'd writers left a loadable "
       "snapshot\n",
       loads_ok, rounds);
-  report.Add("snapshot_kill_loads_ok", loads_ok, loads_ok);
+  report.Add("snapshot_kill_loads_ok", loads_ok, loads_ok, "count",
+             bench::JsonReport::Better::kHigher);
   std::remove(path.c_str());
   return loads_ok == rounds ? 0 : 1;
 }

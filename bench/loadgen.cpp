@@ -170,14 +170,18 @@ struct DispatchSnapshot {
   std::vector<std::uint64_t> dispatched;
 };
 
+/// Reads each tenant's `tenant_weight` and `tenant_dispatched` rows.
 Expected<DispatchSnapshot> SnapshotDispatch(net::AsyncClient& client) {
   auto stats = client.Stats();
   if (!stats.ok()) return stats.status();
   DispatchSnapshot snap;
-  for (const auto& tenant : stats->tenants) {
-    snap.names.push_back(tenant.name);
-    snap.weights.push_back(tenant.weight);
-    snap.dispatched.push_back(tenant.dispatched);
+  for (const MetricRow& row : stats->metrics.rows) {
+    if (row.name != "tenant_weight" || row.labels.empty()) continue;
+    const MetricLabels tenant = {row.labels.front()};
+    snap.names.push_back(tenant.front().second);
+    snap.weights.push_back(row.value);
+    snap.dispatched.push_back(
+        stats->metrics.Count("tenant_dispatched", tenant));
   }
   return snap;
 }
@@ -496,14 +500,18 @@ int Run(const LoadgenOptions& options) {
   gate(fairness_deviation <= options.fairness_tolerance,
        "fairness deviation within tolerance");
 
+  using Better = bench::JsonReport::Better;
   bench::JsonReport json(options.json_path);
-  json.Add("net_rtt_solve_cold", cold.median, cold.p95);
-  json.Add("net_rtt_solve_hit", hit.median, hit.p95);
-  json.Add("net_rtt_lookup", lookup.median, lookup.p95);
+  json.Add("net_rtt_solve_cold", cold.median, cold.p95, "ms", Better::kLower);
+  json.Add("net_rtt_solve_hit", hit.median, hit.p95, "ms", Better::kLower);
+  json.Add("net_rtt_lookup", lookup.median, lookup.p95, "ms",
+           Better::kLower);
   json.Add("net_throughput_kreq_s_x", throughput / 1000.0,
-           throughput / 1000.0);
-  json.Add("net_cache_hit_rate_x", hit_rate, hit_rate);
-  json.Add("net_fairness_dev", fairness_deviation, fairness_deviation);
+           throughput / 1000.0, "kreq/s", Better::kHigher);
+  json.Add("net_cache_hit_rate_x", hit_rate, hit_rate, "ratio",
+           Better::kHigher);
+  json.Add("net_fairness_dev", fairness_deviation, fairness_deviation,
+           "ratio", Better::kLower);
   json.Write();
 
   return ok ? 0 : 1;
@@ -840,10 +848,11 @@ int RunChaosSoak(const LoadgenOptions& options) {
     net::AsyncClient direct;
     if (direct.Connect(soak.server->host(), soak.server->port()).ok()) {
       if (auto stats = direct.Stats(); stats.ok()) {
-        shed_wire = stats->shed_overload;
+        shed_wire = stats->metrics.Count("net_shed_overload");
       }
     }
-    shed_server = soak.server->Stats().shed_overload;
+    shed_server =
+        soak.server->StatsSnapshot().Count("net_shed_overload");
     soak.Stop();
   }
   const Summary admitted = Summarize(admitted_ms);
@@ -866,14 +875,17 @@ int RunChaosSoak(const LoadgenOptions& options) {
            std::to_string(admitted.p99) + " ms)");
 
   const Summary resilient = Summarize(resilient_ms);
+  using Better = bench::JsonReport::Better;
   bench::JsonReport json(options.json_path);
-  json.Add("net_chaos_resilient_rtt", resilient.median, resilient.p95);
+  json.Add("net_chaos_resilient_rtt", resilient.median, resilient.p95, "ms",
+           Better::kLower);
   json.Add("net_chaos_success_rate_x",
            issued > 0 ? static_cast<double>(succeeded) /
                             static_cast<double>(issued)
                       : 0.0,
-           1.0);
-  json.Add("net_chaos_admitted_rtt", admitted.median, admitted.p99);
+           1.0, "ratio", Better::kHigher);
+  json.Add("net_chaos_admitted_rtt", admitted.median, admitted.p99, "ms",
+           Better::kLower);
   json.Write();
 
   return ok ? 0 : 1;
@@ -1192,14 +1204,22 @@ int RunPipelined(const LoadgenOptions& options) {
   gate(speedup >= 3.0, "pipelined window-64 >= 3x blocking throughput (" +
                            std::to_string(speedup) + "x)");
 
+  using Better = bench::JsonReport::Better;
   bench::JsonReport json(options.json_path);
-  json.Add("net_pipelined_rtt_w1", w1.rtt.median, w1.rtt.p99);
-  json.Add("net_pipelined_rtt_w8", w8.rtt.median, w8.rtt.p99);
-  json.Add("net_pipelined_rtt_w64", w64.rtt.median, w64.rtt.p99);
-  json.Add("net_blocking_kreq_s_x", blocking_kreq_s, blocking_kreq_s);
-  json.Add("net_pipelined_kreq_s_w64_x", w64.kreq_s, w64.kreq_s);
-  json.Add("net_pipelined_speedup_x", speedup, speedup);
-  json.Add("net_loop_scaling_x", loop_scaling, loop_scaling);
+  json.Add("net_pipelined_rtt_w1", w1.rtt.median, w1.rtt.p99, "ms",
+           Better::kLower);
+  json.Add("net_pipelined_rtt_w8", w8.rtt.median, w8.rtt.p99, "ms",
+           Better::kLower);
+  json.Add("net_pipelined_rtt_w64", w64.rtt.median, w64.rtt.p99, "ms",
+           Better::kLower);
+  json.Add("net_blocking_kreq_s_x", blocking_kreq_s, blocking_kreq_s,
+           "kreq/s", Better::kHigher);
+  json.Add("net_pipelined_kreq_s_w64_x", w64.kreq_s, w64.kreq_s, "kreq/s",
+           Better::kHigher);
+  json.Add("net_pipelined_speedup_x", speedup, speedup, "x",
+           Better::kHigher);
+  json.Add("net_loop_scaling_x", loop_scaling, loop_scaling, "x",
+           Better::kHigher);
   json.Write();
 
   return ok ? 0 : 1;

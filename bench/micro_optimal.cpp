@@ -183,7 +183,8 @@ void RunColdMix(bench::JsonReport* json) {
       "per batch (p95 %.3f), %.1f us per solve\n",
       problems.size(), static_cast<unsigned long long>(nodes), s.median,
       s.p95, per_solve_us);
-  json->Add("optimal_cold_mix_t1", s.median, s.p95);
+  json->Add("optimal_cold_mix_t1", s.median, s.p95, "ms",
+            bench::JsonReport::Better::kLower);
 }
 
 int Run(int argc, char** argv) {
@@ -242,7 +243,7 @@ int Run(int argc, char** argv) {
       table.AddRow({std::to_string(threads), FormatDouble(s.median, 3),
                     FormatDouble(s.p95, 3), FormatDouble(speedup, 2) + "x"});
       json.Add("optimal_" + c.name + "_t" + std::to_string(threads),
-               s.median, s.p95);
+               s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
     }
     std::printf(
         "case %s (%zu ops, %llu nodes, %llu steals, pruned "
@@ -254,22 +255,24 @@ int Run(int argc, char** argv) {
         static_cast<unsigned long long>(pruned_dominance),
         static_cast<unsigned long long>(pruned_memo),
         table.Render().c_str());
+    using Better = bench::JsonReport::Better;
     json.Add("optimal_" + c.name + "_speedup_4t_x", speedup_4t,
-             speedup_4t_p95);
+             speedup_4t_p95, "x", Better::kHigher);
     json.Add("optimal_" + c.name + "_speedup_8t_x", speedup_8t,
-             speedup_8t_p95);
+             speedup_8t_p95, "x", Better::kHigher);
     // Search counters from the widest run: informational, never gated.
     json.Add("optimal_" + c.name + "_steals_count",
-             static_cast<double>(steals), static_cast<double>(steals));
+             static_cast<double>(steals), static_cast<double>(steals),
+             "count", Better::kNone);
     json.Add("optimal_" + c.name + "_nodes_pruned_symmetry_count",
              static_cast<double>(pruned_symmetry),
-             static_cast<double>(pruned_symmetry));
+             static_cast<double>(pruned_symmetry), "count", Better::kNone);
     json.Add("optimal_" + c.name + "_nodes_pruned_dominance_count",
              static_cast<double>(pruned_dominance),
-             static_cast<double>(pruned_dominance));
+             static_cast<double>(pruned_dominance), "count", Better::kNone);
     json.Add("optimal_" + c.name + "_nodes_pruned_memo_count",
              static_cast<double>(pruned_memo),
-             static_cast<double>(pruned_memo));
+             static_cast<double>(pruned_memo), "count", Better::kNone);
   }
   RunColdMix(&json);
   bench::PrintNote(

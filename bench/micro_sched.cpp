@@ -162,7 +162,8 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred || run.iterations == 0) continue;
       const double ms = run.real_accumulated_time /
                         static_cast<double>(run.iterations) * 1e3;
-      json_->Add(run.benchmark_name(), ms, ms);
+      json_->Add(run.benchmark_name(), ms, ms, "ms",
+                 bench::JsonReport::Better::kLower);
     }
     benchmark::ConsoleReporter::ReportRuns(reports);
   }

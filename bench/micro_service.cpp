@@ -106,9 +106,12 @@ int Run(int argc, char** argv) {
   std::printf("%s", table.Render().c_str());
   std::printf("warm-cache speedup: %sx (acceptance floor: 100x)\n",
               FormatDouble(speedup, 1).c_str());
-  json.Add("service_cold_solve", cold.median, cold.p95);
-  json.Add("service_warm_hit", warm.median, warm.p95);
-  json.Add("service_warm_speedup_x", speedup, speedup);
+  json.Add("service_cold_solve", cold.median, cold.p95, "ms",
+           bench::JsonReport::Better::kLower);
+  json.Add("service_warm_hit", warm.median, warm.p95, "ms",
+           bench::JsonReport::Better::kLower);
+  json.Add("service_warm_speedup_x", speedup, speedup, "x",
+           bench::JsonReport::Better::kHigher);
 
   bench::PrintHeader("regime table precompute: serial vs service pool");
 
@@ -139,8 +142,10 @@ int Run(int argc, char** argv) {
                                                : 0.0,
                            2)
                   .c_str());
-  json.Add("table_serial", serial.median, serial.p95);
-  json.Add("table_service_pool", pooled.median, pooled.p95);
+  json.Add("table_serial", serial.median, serial.p95, "ms",
+           bench::JsonReport::Better::kLower);
+  json.Add("table_service_pool", pooled.median, pooled.p95, "ms",
+           bench::JsonReport::Better::kLower);
 
   json.Write();
   return 0;

@@ -65,7 +65,7 @@ double FrameLoop(stm::StorageMode storage, bench::JsonReport& json,
       SS_CHECK(ch.Consume(in, t).ok());
     }
   });
-  json.Add(name, s.median, s.p95);
+  json.Add(name, s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
   const double ns_per_frame =
       s.median * 1e6 / static_cast<double>(kFrameLoopFrames);
   std::printf("  %-28s median %8.3f ms  (%6.0f ns/frame)\n", name.c_str(),
@@ -135,7 +135,7 @@ double Mpmc(stm::StorageMode storage, bench::JsonReport& json,
     }
     for (auto& th : threads) th.join();
   });
-  json.Add(name, s.median, s.p95);
+  json.Add(name, s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
   std::printf("  %-28s median %8.3f ms  (%dp x %dc, %lld frames)\n",
               name.c_str(), s.median, kMpmcProducers, kMpmcConsumers,
               static_cast<long long>(kMpmcFrames));
@@ -197,7 +197,7 @@ double GatherBench(bool batched, bench::JsonReport& json,
       }
     }
   });
-  json.Add(name, s.median, s.p95);
+  json.Add(name, s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
   std::printf("  %-28s median %8.3f ms  (%zu edges, with history)\n",
               name.c_str(), s.median, kGatherEdges);
   return s.median;
@@ -225,7 +225,8 @@ double Streaming(bench::JsonReport& json, int samples) {
     }
     producer.join();
   });
-  json.Add("stm_streaming_cap8", s.median, s.p95);
+  json.Add("stm_streaming_cap8", s.median, s.p95, "ms",
+           bench::JsonReport::Better::kLower);
   std::printf("  %-28s median %8.3f ms  (%lld frames)\n",
               "stm_streaming_cap8", s.median,
               static_cast<long long>(kStreamFrames));
@@ -255,7 +256,7 @@ double WorkQueueBench(bool batched, bench::JsonReport& json,
     }
     for (int i = 0; i < kChunks; ++i) SS_CHECK(q.TryPop().has_value());
   });
-  json.Add(name, s.median, s.p95);
+  json.Add(name, s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
   std::printf("  %-28s median %8.3f ms\n", name.c_str(), s.median);
   return s.median;
 }
@@ -285,7 +286,8 @@ double TableFind(bench::JsonReport& json, int samples) {
     }
     for (auto& th : threads) th.join();
   });
-  json.Add("stm_table_find_4t", s.median, s.p95);
+  json.Add("stm_table_find_4t", s.median, s.p95, "ms",
+           bench::JsonReport::Better::kLower);
   std::printf("  %-28s median %8.3f ms  (%d threads x %d finds)\n",
               "stm_table_find_4t", s.median, kThreads, kFindsPerThread);
   return s.median;
@@ -303,7 +305,8 @@ int Run(int argc, char** argv) {
   const double ring_ms = FrameLoop(stm::StorageMode::kRing, json,
                                    "stm_frame_loop_ring", samples);
   const double loop_x = ring_ms > 0.0 ? map_ms / ring_ms : 0.0;
-  json.Add("stm_ring_vs_map_x", loop_x, loop_x);
+  json.Add("stm_ring_vs_map_x", loop_x, loop_x, "x",
+           bench::JsonReport::Better::kHigher);
   std::printf("  ring vs map: %.2fx\n\n", loop_x);
 
   std::printf("contended MPMC (dropping puts, mixed queries):\n");
@@ -317,7 +320,8 @@ int Run(int argc, char** argv) {
   const double batched_ms =
       GatherBench(true, json, "stm_gather_batched", samples);
   const double gather_x = batched_ms > 0.0 ? per_edge_ms / batched_ms : 0.0;
-  json.Add("stm_gather_batched_vs_per_edge_x", gather_x, gather_x);
+  json.Add("stm_gather_batched_vs_per_edge_x", gather_x, gather_x, "x",
+           bench::JsonReport::Better::kHigher);
   std::printf("  batched vs per-edge: %.2fx\n\n", gather_x);
 
   std::printf("streaming and queues:\n");

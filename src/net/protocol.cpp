@@ -1,6 +1,8 @@
 #include "net/protocol.hpp"
 
-#include "core/ascii_table.hpp"
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace ss::net {
 
@@ -251,106 +253,102 @@ Status Decode(const std::uint8_t* body, std::size_t size,
 }
 
 std::vector<std::uint8_t> EncodeBody(const StatsResponseMsg& msg) {
+  const std::vector<MetricRow>& rows = msg.metrics.rows;
   std::vector<std::uint8_t> body;
   WireWriter w(&body);
-  w.U64(msg.requests);
-  w.U64(msg.cache_hits);
-  w.U64(msg.lookups);
-  w.U64(msg.lookup_hits);
-  w.U64(msg.coalesced);
-  w.U64(msg.solves);
-  w.U64(msg.solve_failures);
-  w.U64(msg.deadline_exceeded);
-  w.U64(msg.queue_rejected);
-  w.U64(msg.corrupt_rejected);
-  w.U64(msg.degraded);
-  w.U64(msg.cache_entries);
-  w.U64(msg.retries);
-  w.U64(msg.connections_accepted);
-  w.U64(msg.connections_active);
-  w.U64(msg.frames_received);
-  w.U64(msg.protocol_errors);
-  w.U64(msg.shed_overload);
-  w.U64(msg.expired_in_queue);
-  w.I64(msg.uptime_micros);
-  w.U32(static_cast<std::uint32_t>(msg.tenants.size()));
-  for (const TenantStatsMsg& t : msg.tenants) {
-    w.Str(t.name);
-    w.F64(t.weight);
-    w.U64(t.admitted);
-    w.U64(t.rejected_rate_limited);
-    w.U64(t.rejected_queue_full);
-    w.U64(t.dispatched);
-    w.U64(t.completed);
-    w.U64(t.failed);
-    w.U64(t.cancelled);
-    w.U64(t.cache_hits);
-    w.U64(t.queued);
-    w.F64(t.p50_latency_us);
-    w.F64(t.p99_latency_us);
-    w.F64(t.p999_latency_us);
+  w.U32(static_cast<std::uint32_t>(rows.size()));
+  // Rows repeat their names (one per tenant or loop); the help text goes
+  // out once per name, after the rows.
+  std::vector<const MetricRow*> helps;
+  std::unordered_set<std::string_view> named;
+  for (const MetricRow& row : rows) {
+    w.Str(row.name);
+    w.U8(static_cast<std::uint8_t>(row.kind));
+    w.U32(static_cast<std::uint32_t>(row.labels.size()));
+    for (const auto& [key, value] : row.labels) {
+      w.Str(key);
+      w.Str(value);
+    }
+    if (row.kind == MetricKind::kGauge) {
+      w.F64(row.value);
+    } else {
+      w.U64(row.count);
+    }
+    if (row.kind == MetricKind::kHistogram) {
+      w.F64(row.p50);
+      w.F64(row.p99);
+      w.F64(row.p999);
+    }
+    if (named.insert(row.name).second) helps.push_back(&row);
   }
-  w.U32(static_cast<std::uint32_t>(msg.loops.size()));
-  for (const LoopStatsMsg& l : msg.loops) {
-    w.U32(l.loop);
-    w.U64(l.connections_active);
-    w.U64(l.frames_received);
-    w.U64(l.responses_sent);
+  w.U32(static_cast<std::uint32_t>(helps.size()));
+  for (const MetricRow* row : helps) {
+    w.Str(row->name);
+    w.Str(row->help);
   }
   return body;
 }
 
 Status Decode(const std::uint8_t* body, std::size_t size,
               StatsResponseMsg* out) {
+  // Counts are checked against what the rest of the body could hold before
+  // anything is reserved: a row is at least an empty name, the kind, a
+  // label count and a u64; a label or help entry at least two empty
+  // strings.
+  constexpr std::size_t kMinRowBytes = 4 + 1 + 4 + 8;
+  constexpr std::size_t kMinPairBytes = 4 + 4;
   WireReader r(body, size);
-  std::uint32_t tenant_count = 0;
-  if (!r.U64(&out->requests) || !r.U64(&out->cache_hits) ||
-      !r.U64(&out->lookups) || !r.U64(&out->lookup_hits) ||
-      !r.U64(&out->coalesced) || !r.U64(&out->solves) ||
-      !r.U64(&out->solve_failures) || !r.U64(&out->deadline_exceeded) ||
-      !r.U64(&out->queue_rejected) || !r.U64(&out->corrupt_rejected) ||
-      !r.U64(&out->degraded) || !r.U64(&out->cache_entries) ||
-      !r.U64(&out->retries) || !r.U64(&out->connections_accepted) ||
-      !r.U64(&out->connections_active) || !r.U64(&out->frames_received) ||
-      !r.U64(&out->protocol_errors) || !r.U64(&out->shed_overload) ||
-      !r.U64(&out->expired_in_queue) || !r.I64(&out->uptime_micros) ||
-      !r.U32(&tenant_count)) {
+  std::uint32_t row_count = 0;
+  if (!r.U32(&row_count) || row_count > r.remaining() / kMinRowBytes) {
     return MalformedBody("stats response");
   }
-  // Each tenant entry is over 100 bytes; reject counts the body cannot
-  // possibly hold before reserving (loose bound — the per-field reads
-  // still bounds-check everything).
-  if (tenant_count > size / 32) return MalformedBody("stats response");
-  out->tenants.clear();
-  out->tenants.reserve(tenant_count);
-  for (std::uint32_t i = 0; i < tenant_count; ++i) {
-    TenantStatsMsg t;
-    if (!r.Str(&t.name) || !r.F64(&t.weight) || !r.U64(&t.admitted) ||
-        !r.U64(&t.rejected_rate_limited) ||
-        !r.U64(&t.rejected_queue_full) || !r.U64(&t.dispatched) ||
-        !r.U64(&t.completed) || !r.U64(&t.failed) || !r.U64(&t.cancelled) ||
-        !r.U64(&t.cache_hits) || !r.U64(&t.queued) ||
-        !r.F64(&t.p50_latency_us) || !r.F64(&t.p99_latency_us) ||
-        !r.F64(&t.p999_latency_us)) {
+  std::vector<MetricRow> rows(row_count);
+  for (MetricRow& row : rows) {
+    std::uint8_t kind = 0;
+    std::uint32_t label_count = 0;
+    if (!r.Str(&row.name) || !r.U8(&kind) ||
+        kind > static_cast<std::uint8_t>(MetricKind::kHistogram) ||
+        !r.U32(&label_count) ||
+        label_count > r.remaining() / kMinPairBytes) {
       return MalformedBody("stats response");
     }
-    out->tenants.push_back(std::move(t));
+    row.kind = static_cast<MetricKind>(kind);
+    row.labels.resize(label_count);
+    for (auto& [key, value] : row.labels) {
+      if (!r.Str(&key) || !r.Str(&value)) {
+        return MalformedBody("stats response");
+      }
+    }
+    const bool value_read =
+        row.kind == MetricKind::kGauge
+            ? r.F64(&row.value)
+            : r.U64(&row.count) && (row.kind == MetricKind::kCounter ||
+                                    (r.F64(&row.p50) && r.F64(&row.p99) &&
+                                     r.F64(&row.p999)));
+    if (!value_read) return MalformedBody("stats response");
   }
-  std::uint32_t loop_count = 0;
-  if (!r.U32(&loop_count)) return MalformedBody("stats response");
-  // Each loop entry is 28 bytes; reject counts the body cannot hold.
-  if (loop_count > size / 28) return MalformedBody("stats response");
-  out->loops.clear();
-  out->loops.reserve(loop_count);
-  for (std::uint32_t i = 0; i < loop_count; ++i) {
-    LoopStatsMsg l;
-    if (!r.U32(&l.loop) || !r.U64(&l.connections_active) ||
-        !r.U64(&l.frames_received) || !r.U64(&l.responses_sent)) {
-      return MalformedBody("stats response");
-    }
-    out->loops.push_back(l);
+  std::uint32_t help_count = 0;
+  if (!r.U32(&help_count) || help_count > r.remaining() / kMinPairBytes) {
+    return MalformedBody("stats response");
+  }
+  std::unordered_map<std::string, std::string> helps;
+  for (std::uint32_t i = 0; i < help_count; ++i) {
+    std::string name;
+    std::string help;
+    if (!r.Str(&name) || !r.Str(&help)) return MalformedBody("stats response");
+    helps[std::move(name)] = std::move(help);
   }
   if (!r.AtEnd()) return MalformedBody("stats response");
+  for (MetricRow& row : rows) {
+    if (auto it = helps.find(row.name); it != helps.end()) {
+      row.help = it->second;
+    }
+  }
+  out->metrics.rows = std::move(rows);
+  out->solves = out->metrics.Count("service_solves");
+  out->coalesced = out->metrics.Count("service_coalesced");
+  out->retries = 0;
+  out->protocol_errors = out->metrics.Count("net_protocol_errors");
   return OkStatus();
 }
 
@@ -451,87 +449,6 @@ Expected<bool> FrameDecoder::Next(Frame* out) {
                    buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + length));
   pos_ += 4u + length;
   return true;
-}
-
-TenantStatsMsg ToWire(const tenant::TenantStats& stats) {
-  TenantStatsMsg msg;
-  msg.name = stats.name;
-  msg.weight = stats.weight;
-  msg.admitted = stats.admitted;
-  msg.rejected_rate_limited = stats.rejected_rate_limited;
-  msg.rejected_queue_full = stats.rejected_queue_full;
-  msg.dispatched = stats.dispatched;
-  msg.completed = stats.completed;
-  msg.failed = stats.failed;
-  msg.cancelled = stats.cancelled;
-  msg.cache_hits = stats.cache_hits;
-  msg.queued = stats.queued;
-  msg.p50_latency_us = stats.p50_latency_us;
-  msg.p99_latency_us = stats.p99_latency_us;
-  msg.p999_latency_us = stats.p999_latency_us;
-  return msg;
-}
-
-std::string StatsResponseMsg::ToTable() const {
-  AsciiTable service;
-  service.SetHeader({"metric", "value"});
-  auto row = [&](const char* name, std::uint64_t v) {
-    service.AddRow({name, std::to_string(v)});
-  };
-  row("requests", requests);
-  row("cache hits", cache_hits);
-  row("lookups (cache probes)", lookups);
-  row("lookup hits", lookup_hits);
-  row("coalesced (single-flight)", coalesced);
-  row("solver invocations", solves);
-  row("solver failures", solve_failures);
-  row("deadline exceeded", deadline_exceeded);
-  row("queue rejected", queue_rejected);
-  row("corrupt artifacts rejected", corrupt_rejected);
-  row("degraded (heuristic) serves", degraded);
-  row("cache entries", cache_entries);
-  service.AddRule();
-  row("connections accepted", connections_accepted);
-  row("connections active", connections_active);
-  row("frames received", frames_received);
-  row("protocol errors", protocol_errors);
-  row("shed (overloaded)", shed_overload);
-  row("expired in queue", expired_in_queue);
-  service.AddRow({"uptime", FormatTick(uptime_micros)});
-
-  std::string out = service.Render();
-  if (!loops.empty()) {
-    AsciiTable per_loop;
-    per_loop.SetHeader({"loop", "conns", "frames", "responses"});
-    for (const LoopStatsMsg& l : loops) {
-      per_loop.AddRow({std::to_string(l.loop),
-                       std::to_string(l.connections_active),
-                       std::to_string(l.frames_received),
-                       std::to_string(l.responses_sent)});
-    }
-    out += "\n";
-    out += per_loop.Render();
-  }
-  if (tenants.empty()) return out;
-
-  AsciiTable per_tenant;
-  per_tenant.SetHeader({"tenant", "weight", "admitted", "rate-rej",
-                        "queue-rej", "dispatched", "hits", "failed",
-                        "queued", "p50", "p99", "p999"});
-  for (const TenantStatsMsg& t : tenants) {
-    per_tenant.AddRow(
-        {t.name, FormatDouble(t.weight, 2), std::to_string(t.admitted),
-         std::to_string(t.rejected_rate_limited),
-         std::to_string(t.rejected_queue_full),
-         std::to_string(t.dispatched), std::to_string(t.cache_hits),
-         std::to_string(t.failed), std::to_string(t.queued),
-         FormatTick(static_cast<Tick>(t.p50_latency_us)),
-         FormatTick(static_cast<Tick>(t.p99_latency_us)),
-         FormatTick(static_cast<Tick>(t.p999_latency_us))});
-  }
-  out += "\n";
-  out += per_tenant.Render();
-  return out;
 }
 
 }  // namespace ss::net

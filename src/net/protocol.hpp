@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/metrics.hpp"
 #include "core/time.hpp"
-#include "tenant/tenant.hpp"
 
 namespace ss::net {
 
@@ -121,70 +121,15 @@ struct LookupResponseMsg {
   ScheduleSummary summary;  // valid only when found
 };
 
-struct TenantStatsMsg {
-  std::string name;
-  double weight = 1.0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_rate_limited = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t dispatched = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t queued = 0;
-  double p50_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
-};
-
-/// Per-event-loop counters: one entry per epoll shard when the server runs
-/// with loop_threads > 0 (always at least one).
-struct LoopStatsMsg {
-  std::uint32_t loop = 0;
-  std::uint64_t connections_active = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t responses_sent = 0;
-};
-
-/// The coherent ScheduleService::Stats() snapshot plus server counters and
-/// one entry per registered tenant.
+/// The STATS body: the service's, the tenant front end's and the server's
+/// metric rows (core/metrics.hpp), in that order; docs/net.md lists them.
+/// The four counts are filled by Decode from the rows, for perfbench.
 struct StatsResponseMsg {
-  // service
-  std::uint64_t requests = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t lookup_hits = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t solve_failures = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t queue_rejected = 0;
-  std::uint64_t corrupt_rejected = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t cache_entries = 0;
-  /// Always 0: the service no longer retries failed solves (a serial
-  /// rerun repeats the same search; a budget-limited failure needs a
-  /// larger budget, not a rerun). Kept on the wire because perfbench's
-  /// ReadServerCounts decodes it.
-  std::uint64_t retries = 0;
-  // server
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_active = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t protocol_errors = 0;
-  /// Solves refused with kOverloaded by the admission load-shed check.
-  std::uint64_t shed_overload = 0;
-  /// Queued solves completed with kDeadlineExceeded because their deadline
-  /// passed while waiting in a fair-queue lane (never reached the solver).
-  std::uint64_t expired_in_queue = 0;
-  std::int64_t uptime_micros = 0;
-  std::vector<TenantStatsMsg> tenants;
-  /// One entry per event-loop shard (loop sharding, ServerOptions::
-  /// loop_threads); rolls the per-loop counters up into the snapshot.
-  std::vector<LoopStatsMsg> loops;
-
-  std::string ToTable() const;
+  MetricSnapshot metrics;
+  std::uint64_t solves = 0;           // service_solves
+  std::uint64_t coalesced = 0;        // service_coalesced
+  std::uint64_t retries = 0;          // no row: the service never retries
+  std::uint64_t protocol_errors = 0;  // net_protocol_errors, all loops
 };
 
 struct HealthResponseMsg {
@@ -248,6 +193,7 @@ class WireReader {
   bool Str(std::string* s);
 
   bool failed() const { return failed_; }
+  std::size_t remaining() const { return size_ - pos_; }
   /// True when the whole body was consumed cleanly (trailing bytes are a
   /// malformed frame — they hide version skew).
   bool AtEnd() const { return !failed_ && pos_ == size_; }
@@ -332,8 +278,5 @@ class FrameDecoder {
   Status error_;
   WireError error_code_ = WireError::kOk;
 };
-
-/// Maps a tenant-front-end stats snapshot into its wire form.
-TenantStatsMsg ToWire(const tenant::TenantStats& stats);
 
 }  // namespace ss::net

@@ -43,6 +43,15 @@ Status ErrnoError(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
 }
 
+MetricSnapshot CollectMetrics(const service::ScheduleService& service,
+                              const tenant::TenantScheduler& tenants,
+                              const MetricsRegistry& server) {
+  MetricSnapshot snap = service.metrics().Snapshot();
+  snap.Append(tenants.metrics().Snapshot());
+  snap.Append(server.Snapshot());
+  return snap;
+}
+
 ScheduleSummary Summarize(const service::CachedSolve& solve) {
   ScheduleSummary summary;
   summary.fingerprint_hex = solve.key.ToHex();
@@ -142,10 +151,12 @@ struct Server::CompletionSink {
 class Server::Impl {
  public:
   Impl(const ServerOptions& options, service::ScheduleService* service,
-       tenant::TenantScheduler* tenants, std::atomic<bool>* draining)
+       tenant::TenantScheduler* tenants, MetricsRegistry* metrics,
+       std::atomic<bool>* draining)
       : options_(options),
         service_(service),
         tenants_(tenants),
+        metrics_(metrics),
         draining_(draining) {
     const int loops = options_.loop_threads < 1 ? 1 : options_.loop_threads;
     shards_.reserve(static_cast<std::size_t>(loops));
@@ -266,30 +277,37 @@ class Server::Impl {
     }
   }
 
-  ServerStats Stats() const {
-    ServerStats total;
-    for (const auto& shard : shards_) {
-      const ServerStats s = ShardStats(*shard);
-      total.accepted += s.accepted;
-      total.active += s.active;
-      total.frames_received += s.frames_received;
-      total.responses_sent += s.responses_sent;
-      total.protocol_errors += s.protocol_errors;
-      total.idle_closed += s.idle_closed;
-      total.overload_closed += s.overload_closed;
-      total.shed_overload += s.shed_overload;
+  /// Registers each shard's rows and the server-wide gauges. Runs once,
+  /// after a successful Bind() and before any loop starts.
+  void RegisterMetrics() {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      Shard& s = *shards_[i];
+      const MetricLabels loop = {{"loop", std::to_string(i)}};
+      auto counter = [&](const char* name, const char* help) {
+        return &metrics_->AddCounter(name, help, loop);
+      };
+      s.accepted = counter("net_conns_accepted", "connections accepted");
+      metrics_->AddGauge("net_conns_active", "connections active", loop, [&s] {
+        return static_cast<double>(s.active.load(std::memory_order_relaxed));
+      });
+      s.idle_closed =
+          counter("net_conns_idle_closed", "idle connections closed");
+      s.overload_closed = counter("net_conns_overload_closed",
+                                  "connections refused over max_connections");
+      s.frames_received = counter("net_frames_received", "frames received");
+      s.responses_sent = counter("net_responses_sent", "responses sent");
+      s.protocol_errors = counter("net_protocol_errors", "protocol errors");
+      s.shed_overload = counter("net_shed_overload", "shed (overloaded)");
     }
-    return total;
+    metrics_->AddGauge("net_solves_in_flight", "solves in flight", {},
+                       [this] {
+                         return static_cast<double>(pending_solves_.load(
+                             std::memory_order_relaxed));
+                       });
+    metrics_->AddGauge("net_uptime_s", "uptime", {}, [this] {
+      return ticks::ToSeconds(WallNow() - start_tick_);
+    });
   }
-
-  std::vector<ServerStats> PerLoopStats() const {
-    std::vector<ServerStats> out;
-    out.reserve(shards_.size());
-    for (const auto& shard : shards_) out.push_back(ShardStats(*shard));
-    return out;
-  }
-
-  Tick start_tick() const { return start_tick_; }
 
  private:
   // One epoll loop and the connections it owns. Everything except `sink`
@@ -315,32 +333,19 @@ class Server::Impl {
     std::unordered_map<std::string, ParsedProblem> problem_memo;
     std::deque<std::string> memo_order;
 
-    // Written by the owning loop, read by Stats()/stats requests anywhere.
-    std::atomic<std::uint64_t> accepted{0};
+    /// Open connections: written by the owning loop, read by the accept
+    /// cap and the net_conns_active row.
     std::atomic<std::uint64_t> active{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> responses_sent{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> idle_closed{0};
-    std::atomic<std::uint64_t> overload_closed{0};
-    std::atomic<std::uint64_t> shed_overload{0};
+    /// This loop's rows in the server's registry (RegisterMetrics), bumped
+    /// by the owning loop only.
+    Counter* accepted = nullptr;
+    Counter* frames_received = nullptr;
+    Counter* responses_sent = nullptr;
+    Counter* protocol_errors = nullptr;
+    Counter* idle_closed = nullptr;
+    Counter* overload_closed = nullptr;
+    Counter* shed_overload = nullptr;
   };
-
-  static ServerStats ShardStats(const Shard& shard) {
-    ServerStats s;
-    s.accepted = shard.accepted.load(std::memory_order_relaxed);
-    s.active = shard.active.load(std::memory_order_relaxed);
-    s.frames_received =
-        shard.frames_received.load(std::memory_order_relaxed);
-    s.responses_sent = shard.responses_sent.load(std::memory_order_relaxed);
-    s.protocol_errors =
-        shard.protocol_errors.load(std::memory_order_relaxed);
-    s.idle_closed = shard.idle_closed.load(std::memory_order_relaxed);
-    s.overload_closed =
-        shard.overload_closed.load(std::memory_order_relaxed);
-    s.shed_overload = shard.shed_overload.load(std::memory_order_relaxed);
-    return s;
-  }
 
   std::size_t TotalActive() const {
     std::size_t total = 0;
@@ -383,7 +388,7 @@ class Server::Impl {
       // The cap is summed over shards; fds in the hand-off window are not
       // counted yet, so the bound is approximate under an accept burst.
       if (TotalActive() >= options_.max_connections) {
-        s.overload_closed.fetch_add(1, std::memory_order_relaxed);
+        s.overload_closed->Inc();
         ::close(fd);
         continue;
       }
@@ -408,7 +413,7 @@ class Server::Impl {
       ::close(fd);
       return;
     }
-    s.accepted.fetch_add(1, std::memory_order_relaxed);
+    s.accepted->Inc();
     s.conns.emplace(conn->id, std::move(conn));
     s.active.store(s.conns.size(), std::memory_order_relaxed);
   }
@@ -455,7 +460,7 @@ class Server::Impl {
         // MALFORMED otherwise): best-effort error frame (request_id 0 —
         // the bytes never became a request to correlate with), then close
         // once it and any pending responses flush.
-        s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        s.protocol_errors->Inc();
         SendError(s, c, /*request_id=*/0, c.decoder.error_code(),
                   got.status().message());
         c.closing = true;
@@ -466,7 +471,7 @@ class Server::Impl {
       // the idle clock, so a peer dribbling a frame slower than the idle
       // window is reaped mid-frame by CloseIdle.
       c.last_active = WallNow();
-      s.frames_received.fetch_add(1, std::memory_order_relaxed);
+      s.frames_received->Inc();
       HandleFrame(s, c, frame);
     }
     if (!FlushConn(s, c)) return false;
@@ -484,7 +489,7 @@ class Server::Impl {
       case MsgType::kStats:
       case MsgType::kHealth:
         if (!frame.body.empty()) {
-          s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+          s.protocol_errors->Inc();
           SendError(s, c, frame.request_id, WireError::kMalformed,
                     "stats/health requests carry no body");
           c.closing = true;
@@ -497,7 +502,7 @@ class Server::Impl {
         }
         return;
       default:
-        s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        s.protocol_errors->Inc();
         SendError(s, c, frame.request_id, WireError::kUnsupported,
                   "unsupported message type " +
                       std::to_string(static_cast<int>(frame.type)));
@@ -537,7 +542,7 @@ class Server::Impl {
     SolveRequestMsg msg;
     Status decoded = Decode(frame.body.data(), frame.body.size(), &msg);
     if (!decoded.ok()) {
-      s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      s.protocol_errors->Inc();
       SendError(s, c, frame.request_id, WireError::kMalformed,
                 decoded.message());
       c.closing = true;
@@ -559,7 +564,7 @@ class Server::Impl {
          c.pending >= options_.max_inflight_per_conn) ||
         (options_.max_pending_solves > 0 &&
          pending_now >= options_.max_pending_solves)) {
-      s.shed_overload.fetch_add(1, std::memory_order_relaxed);
+      s.shed_overload->Inc();
       SendError(s, c, frame.request_id, WireError::kOverloaded,
                 "server overloaded (" + std::to_string(pending_now) +
                     " solves in flight); back off and retry");
@@ -630,30 +635,28 @@ class Server::Impl {
     LookupRequestMsg msg;
     Status decoded = Decode(frame.body.data(), frame.body.size(), &msg);
     if (!decoded.ok()) {
-      s.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      s.protocol_errors->Inc();
       SendError(s, c, frame.request_id, WireError::kMalformed,
                 decoded.message());
       c.closing = true;
       return;
     }
-    Status tenant_ok = tenants_->TouchTenant(msg.tenant);
-    if (!tenant_ok.ok()) {
-      SendError(s, c, frame.request_id, WireErrorFromStatus(tenant_ok),
-                tenant_ok.message());
-      return;
-    }
+    // The text is checked before the tenant is resolved, as for SOLVE: an
+    // unknown tenant with bad text is MALFORMED.
     service::SolveRequest request;
     if (!ParseRequestProblem(s, c, frame.request_id, msg.problem_text,
                              msg.regime, &request)) {
       return;
     }
-    auto probe = tenants_->Lookup(msg.tenant, request);
+    bool miss = false;
+    auto probe = tenants_->Lookup(msg.tenant, request, &miss);
     LookupResponseMsg resp;
     if (probe.ok()) {
       resp.found = true;
       resp.summary = Summarize(**probe);
-    } else if (probe.status().code() != StatusCode::kNotFound) {
-      // e.g. kCorruptArtifact on a poisoned restored entry.
+    } else if (!miss) {
+      // An unknown tenant, or e.g. kCorruptArtifact on a poisoned restored
+      // entry.
       SendError(s, c, frame.request_id, WireErrorFromStatus(probe.status()),
                 probe.status().message());
       return;
@@ -663,39 +666,7 @@ class Server::Impl {
 
   void HandleStats(Shard& s, Conn& c, std::uint64_t request_id) {
     StatsResponseMsg resp;
-    const service::ServiceStats svc = service_->Stats();
-    resp.requests = svc.requests;
-    resp.cache_hits = svc.cache_hits;
-    resp.lookups = svc.lookups;
-    resp.lookup_hits = svc.lookup_hits;
-    resp.coalesced = svc.coalesced;
-    resp.solves = svc.solves;
-    resp.solve_failures = svc.solve_failures;
-    resp.deadline_exceeded = svc.deadline_exceeded;
-    resp.queue_rejected = svc.queue_rejected;
-    resp.corrupt_rejected = svc.corrupt_rejected;
-    resp.degraded = svc.degraded;
-    resp.cache_entries = svc.cache.entries;
-    const ServerStats server = Stats();
-    resp.connections_accepted = server.accepted;
-    resp.connections_active = server.active;
-    resp.frames_received = server.frames_received;
-    resp.protocol_errors = server.protocol_errors;
-    resp.shed_overload = server.shed_overload;
-    resp.expired_in_queue = tenants_->QueueStats().expired;
-    resp.uptime_micros = WallNow() - start_tick_;
-    for (const auto& tenant : tenants_->Stats()) {
-      resp.tenants.push_back(ToWire(tenant));
-    }
-    const std::vector<ServerStats> per_loop = PerLoopStats();
-    for (std::size_t i = 0; i < per_loop.size(); ++i) {
-      LoopStatsMsg loop;
-      loop.loop = static_cast<std::uint32_t>(i);
-      loop.connections_active = per_loop[i].active;
-      loop.frames_received = per_loop[i].frames_received;
-      loop.responses_sent = per_loop[i].responses_sent;
-      resp.loops.push_back(loop);
-    }
+    resp.metrics = CollectMetrics(*service_, *tenants_, *metrics_);
     Respond(s, c, request_id, MsgType::kStatsOk, EncodeBody(resp));
   }
 
@@ -719,7 +690,7 @@ class Server::Impl {
   /// the echoed request_id correlates them — so a parked solve never
   /// holds up an answer produced after it.
   void Queue(Shard& s, Conn& c, std::vector<std::uint8_t> frame) {
-    s.responses_sent.fetch_add(1, std::memory_order_relaxed);
+    s.responses_sent->Inc();
     c.outq.push_back(std::move(frame));
   }
 
@@ -833,7 +804,7 @@ class Server::Impl {
       }
     }
     for (std::uint64_t id : expired) {
-      s.idle_closed.fetch_add(1, std::memory_order_relaxed);
+      s.idle_closed->Inc();
       CloseConn(s, id);
     }
   }
@@ -884,6 +855,7 @@ class Server::Impl {
   const ServerOptions options_;
   service::ScheduleService* service_;
   tenant::TenantScheduler* tenants_;
+  MetricsRegistry* metrics_;
   std::atomic<bool>* draining_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -912,13 +884,15 @@ Status Server::Start() {
   if (impl_ != nullptr) {
     return FailedPreconditionError("server already started");
   }
-  impl_ = std::make_unique<Impl>(options_, service_, tenants_, &draining_);
+  impl_ = std::make_unique<Impl>(options_, service_, tenants_, &metrics_,
+                                 &draining_);
   auto port = impl_->Bind();
   if (!port.ok()) {
     impl_.reset();
     return port.status();
   }
   port_ = *port;
+  impl_->RegisterMetrics();
   const int loops = options_.loop_threads < 1 ? 1 : options_.loop_threads;
   loops_.reserve(static_cast<std::size_t>(loops));
   for (int i = 0; i < loops; ++i) {
@@ -939,13 +913,8 @@ void Server::Stop() {
   impl_->CloseSinks();
 }
 
-ServerStats Server::Stats() const {
-  return impl_ != nullptr ? impl_->Stats() : ServerStats{};
-}
-
-std::vector<ServerStats> Server::PerLoopStats() const {
-  return impl_ != nullptr ? impl_->PerLoopStats()
-                          : std::vector<ServerStats>{};
+MetricSnapshot Server::StatsSnapshot() const {
+  return CollectMetrics(*service_, *tenants_, metrics_);
 }
 
 }  // namespace ss::net

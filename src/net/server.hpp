@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/metrics.hpp"
 #include "core/time.hpp"
 #include "net/protocol.hpp"
 #include "service/schedule_service.hpp"
@@ -73,18 +74,6 @@ struct ServerOptions {
   int loop_threads = 1;
 };
 
-struct ServerStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t active = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t responses_sent = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t idle_closed = 0;
-  std::uint64_t overload_closed = 0;
-  /// Solve requests refused with kOverloaded by the admission shed check.
-  std::uint64_t shed_overload = 0;
-};
-
 class Server {
  public:
   /// `service` and `tenants` must outlive Stop()/destruction; not owned.
@@ -110,10 +99,10 @@ class Server {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// Aggregate counters summed over every loop shard.
-  ServerStats Stats() const;
-  /// One entry per loop shard, in loop order (index 0 is the acceptor).
-  std::vector<ServerStats> PerLoopStats() const;
+  /// What STATS answers: the service's and the tenant front end's rows,
+  /// then the server's own `net_*` rows (per loop, registered by a
+  /// successful Start()). Readable after Stop().
+  MetricSnapshot StatsSnapshot() const;
 
  private:
   struct Conn;
@@ -125,6 +114,7 @@ class Server {
   tenant::TenantScheduler* tenants_;
   int port_ = 0;
   std::atomic<bool> draining_{false};
+  MetricsRegistry metrics_;
   std::unique_ptr<Impl> impl_;
   std::vector<std::thread> loops_;
 };

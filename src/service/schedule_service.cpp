@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/ascii_table.hpp"
 #include "graph/op_graph.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/occupancy.hpp"
@@ -13,41 +12,24 @@
 
 namespace ss::service {
 
-std::string ServiceStats::ToTable() const {
-  AsciiTable table;
-  table.SetHeader({"metric", "value"});
-  auto row = [&](const char* name, std::uint64_t v) {
-    table.AddRow({name, std::to_string(v)});
-  };
-  row("requests", requests);
-  row("cache hits", cache_hits);
-  row("lookups (cache probes)", lookups);
-  row("lookup hits", lookup_hits);
-  row("coalesced (single-flight)", coalesced);
-  row("solver invocations", solves);
-  row("solver failures", solve_failures);
-  row("deadline exceeded", deadline_exceeded);
-  row("queue rejected", queue_rejected);
-  row("cancelled", cancelled);
-  row("corrupt artifacts rejected", corrupt_rejected);
-  row("degraded (heuristic) serves", degraded);
-  row("watchdog cancellations", watchdog_cancellations);
-  row("snapshot I/O errors", snapshot_io_errors);
-  table.AddRow({"hit rate", FormatDouble(HitRate(), 3)});
-  table.AddRow({"solver wall time", FormatTick(solve_ticks)});
-  table.AddRule();
-  row("cache entries", cache.entries);
-  row("cache insertions", cache.insertions);
-  row("cache evictions", cache.evictions);
-  row("cache invalidations", cache.invalidations);
-  return table.Render();
-}
-
 ScheduleService::ScheduleService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity, options_.cache_shards) {
   SS_CHECK_MSG(options_.workers >= 0, "negative worker count");
   SS_CHECK_MSG(options_.queue_capacity > 0, "queue capacity must be > 0");
+  metrics_.AddGauge("cache_entries", "cache entries", {}, [this] {
+    return static_cast<double>(cache_.size());
+  });
+  metrics_.AddCounterFn("cache_hits", "cache probes that hit", {},
+                        [this] { return cache_.Stats().hits; });
+  metrics_.AddCounterFn("cache_misses", "cache probes that missed", {},
+                        [this] { return cache_.Stats().misses; });
+  metrics_.AddCounterFn("cache_insertions", "cache insertions", {},
+                        [this] { return cache_.Stats().insertions; });
+  metrics_.AddCounterFn("cache_evictions", "cache evictions", {},
+                        [this] { return cache_.Stats().evictions; });
+  metrics_.AddCounterFn("cache_invalidations", "cache invalidations", {},
+                        [this] { return cache_.Stats().invalidations; });
   if (!options_.snapshot_path.empty()) {
     // A missing snapshot just means a cold start. A corrupt or unreadable
     // one must not take the service down either: warn and start cold — the
@@ -89,7 +71,7 @@ graph::Fingerprint ScheduleService::RequestKey(const SolveRequest& request) {
 }
 
 Expected<SolveFuture> ScheduleService::SubmitAsync(SolveRequest request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  requests_.Inc();
   if (!request.problem) {
     return Status(InvalidArgumentError("request has no problem"));
   }
@@ -98,7 +80,7 @@ Expected<SolveFuture> ScheduleService::SubmitAsync(SolveRequest request) {
   if (auto hit = cache_.Lookup(key)) {
     Status usable = VerifyHit(key, request, hit);
     if (!usable.ok()) return usable;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    cache_hits_.Inc();
     std::promise<Expected<SolveResult>> ready;
     ready.set_value(Expected<SolveResult>(std::move(hit)));
     return ready.get_future().share();
@@ -110,7 +92,7 @@ Expected<SolveFuture> ScheduleService::SubmitAsync(SolveRequest request) {
   }
   const bool joining = inflight_.contains(key);
   if (!joining && queued_jobs_ >= options_.queue_capacity) {
-    queue_rejected_.fetch_add(1, std::memory_order_relaxed);
+    queue_rejected_.Inc();
     return Status(WouldBlockError(
         "schedule service queue full (" +
         std::to_string(options_.queue_capacity) + " pending); retry later"));
@@ -121,7 +103,7 @@ Expected<SolveFuture> ScheduleService::SubmitAsync(SolveRequest request) {
     promise->set_value(std::move(result));
   });
   if (joining) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    coalesced_.Inc();
     return future;
   }
   ++queued_jobs_;
@@ -146,7 +128,7 @@ Expected<SolveResult> ScheduleService::Solve(SolveRequest request) {
   SolveFuture future = *submitted;
   if (!deadline.infinite() &&
       future.wait_until(deadline.time_point()) != std::future_status::ready) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    deadline_exceeded_.Inc();
     return Status(DeadlineExceededError(
         "solve still running at the request deadline (the result will "
         "warm the cache when it completes)"));
@@ -156,7 +138,7 @@ Expected<SolveResult> ScheduleService::Solve(SolveRequest request) {
 
 void ScheduleService::SolveOnCaller(SolveRequest request,
                                     SolveCallback done) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  requests_.Inc();
   if (!request.problem) {
     done(Status(InvalidArgumentError("request has no problem")));
     return;
@@ -168,7 +150,7 @@ void ScheduleService::SolveOnCaller(SolveRequest request,
             done = std::move(done)](Expected<SolveResult> result) {
       if (WallNow() > deadline &&
           result.status().code() != StatusCode::kDeadlineExceeded) {
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        deadline_exceeded_.Inc();
         result = Status(DeadlineExceededError(
             "solve ended after the request deadline"));
       }
@@ -185,7 +167,7 @@ void ScheduleService::SolveOnCaller(SolveRequest request,
   it->second.push_back(std::move(done));
   if (!fresh) {
     // The flight's own thread completes this request.
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    coalesced_.Inc();
     return;
   }
   lock.Unlock();
@@ -193,7 +175,7 @@ void ScheduleService::SolveOnCaller(SolveRequest request,
 }
 
 Expected<SolveResult> ScheduleService::Lookup(const SolveRequest& request) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  lookups_.Inc();
   if (!request.problem) {
     return Status(InvalidArgumentError("request has no problem"));
   }
@@ -201,7 +183,7 @@ Expected<SolveResult> ScheduleService::Lookup(const SolveRequest& request) {
   if (auto hit = cache_.Lookup(key)) {
     Status usable = VerifyHit(key, request, hit);
     if (!usable.ok()) return usable;
-    lookup_hits_.fetch_add(1, std::memory_order_relaxed);
+    lookup_hits_.Inc();
     return Expected<SolveResult>(std::move(hit));
   }
   return Status(NotFoundError("no cached schedule for " + key.ToHex()));
@@ -225,24 +207,25 @@ constexpr Tick kDegradedMargin = ticks::FromMillis(2);
 
 }  // namespace
 
-Expected<SolveResult> ScheduleService::RunSolve(const graph::Fingerprint& key,
-                                               const SolveRequest& request,
-                                               int default_solver_threads,
-                                               const std::atomic<bool>* cancel) {
+Expected<SolveResult> ScheduleService::RunSolve(
+    const Job& job, const std::atomic<bool>* cancel) {
+  const SolveRequest& request = job.request;
   const graph::ProblemSpec& spec = *request.problem;
   SS_RETURN_IF_ERROR(ValidateRegime(spec, request.regime));
   sched::OptimalOptions effective = request.options;
   if (effective.solver_threads == sched::kSolverThreadsUnset) {
-    effective.solver_threads = default_solver_threads;
+    effective.solver_threads = options_.solver_threads;
   }
   if (cancel != nullptr) effective.cancel = cancel;
   sched::OptimalScheduler scheduler(spec.graph, spec.costs, spec.comm,
                                     spec.machine);
   auto result = scheduler.Schedule(request.regime, effective);
   if (!result.ok()) return result.status();
+  solver_nodes_.Inc(result->nodes_explored);
+  if (result->budget_exhausted) solver_budget_exhausted_.Inc();
 
   auto solved = std::make_shared<CachedSolve>();
-  solved->key = key;
+  solved->key = job.key;
   solved->regime = request.regime;
   solved->schedule = std::move(result->best);
   solved->min_latency = result->min_latency;
@@ -301,9 +284,7 @@ Expected<SolveResult> ScheduleService::SolveWithResilience(const Job& job) {
   }
   const bool watched = cancel_at != kTickInfinity;
   const std::uint64_t watch = watched ? ArmWatchdog(cancel_at, &cancel) : 0;
-  Expected<SolveResult> result =
-      RunSolve(job.key, job.request, options_.solver_threads,
-               watched ? &cancel : nullptr);
+  Expected<SolveResult> result = RunSolve(job, watched ? &cancel : nullptr);
   if (watched) DisarmWatchdog(watch);
 
   if (!job.request.allow_degraded) return result;
@@ -311,13 +292,13 @@ Expected<SolveResult> ScheduleService::SolveWithResilience(const Job& job) {
     // Watchdog-cancelled search with an incumbent: already a (quality-
     // tagged) degraded answer.
     if ((*result)->stats.cancelled) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
+      degraded_.Inc();
     }
     return result;
   }
   Expected<SolveResult> heuristic = RunDegraded(job.key, job.request);
   if (!heuristic.ok()) return result;  // the original error says more
-  degraded_.fetch_add(1, std::memory_order_relaxed);
+  degraded_.Inc();
   return heuristic;
 }
 
@@ -333,7 +314,7 @@ Status ScheduleService::VerifyHit(const graph::Fingerprint& key,
     return OkStatus();
   }
   cache_.Erase(key);
-  corrupt_rejected_.fetch_add(1, std::memory_order_relaxed);
+  corrupt_rejected_.Inc();
   Status status = report.ToStatus();
   std::fprintf(stderr, "warning: rejecting cached schedule %s: %s\n",
                key.ToHex().c_str(), status.ToString().c_str());
@@ -349,7 +330,7 @@ void ScheduleService::RunJob(const Job& job) {
     cancelled = shutdown_;
   }
   if (cancelled) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    cancelled_.Inc();
     FinishJob(job, Status(CancelledError(
                        "service shut down before the solve ran")));
     return;
@@ -363,12 +344,12 @@ void ScheduleService::RunJob(const Job& job) {
       // with its quality.
       auto heuristic = RunDegraded(job.key, job.request);
       if (heuristic.ok()) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
+        degraded_.Inc();
         FinishJob(job, heuristic);
         return;
       }
     }
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    deadline_exceeded_.Inc();
     FinishJob(job,
               Status(DeadlineExceededError("request expired while queued")));
     return;
@@ -383,17 +364,16 @@ void ScheduleService::RunJob(const Job& job) {
     // A hit that fails verification was evicted by VerifyHit; fall through
     // to the solve, which re-derives a correct artifact for this key.
     if (VerifyHit(job.key, job.request, hit).ok()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      cache_hits_.Inc();
       FinishJob(job, Expected<SolveResult>(std::move(hit)));
       return;
     }
   }
 
-  solves_.fetch_add(1, std::memory_order_relaxed);
+  solves_.Inc();
   Expected<SolveResult> result = SolveWithResilience(job);
   if (result.ok()) {
-    solve_ticks_.fetch_add((*result)->stats.wall_ticks,
-                           std::memory_order_relaxed);
+    solve_wall_us_.Inc(static_cast<std::uint64_t>((*result)->stats.wall_ticks));
     // Results cut short by a deadline or the watchdog, and the
     // list-scheduler fallback, are served but never cached: a later
     // request with a generous deadline must still trigger the full solve.
@@ -405,7 +385,7 @@ void ScheduleService::RunJob(const Job& job) {
       cache_.Insert(solved);
     }
   } else {
-    solve_failures_.fetch_add(1, std::memory_order_relaxed);
+    solve_failures_.Inc();
   }
   FinishJob(job, result);
 }
@@ -420,31 +400,6 @@ void ScheduleService::FinishJob(const Job& job,
   }
   SS_CHECK(!flight.empty());
   for (SolveCallback& done : flight.mapped()) done(result);
-}
-
-ServiceStats ScheduleService::Stats() const {
-  ServiceStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.lookups = lookups_.load(std::memory_order_relaxed);
-  stats.lookup_hits = lookup_hits_.load(std::memory_order_relaxed);
-  stats.coalesced = coalesced_.load(std::memory_order_relaxed);
-  stats.solves = solves_.load(std::memory_order_relaxed);
-  stats.solve_failures = solve_failures_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded =
-      deadline_exceeded_.load(std::memory_order_relaxed);
-  stats.queue_rejected = queue_rejected_.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled_.load(std::memory_order_relaxed);
-  stats.corrupt_rejected =
-      corrupt_rejected_.load(std::memory_order_relaxed);
-  stats.degraded = degraded_.load(std::memory_order_relaxed);
-  stats.watchdog_cancellations =
-      watchdog_cancellations_.load(std::memory_order_relaxed);
-  stats.snapshot_io_errors =
-      snapshot_io_errors_.load(std::memory_order_relaxed);
-  stats.solve_ticks = solve_ticks_.load(std::memory_order_relaxed);
-  stats.cache = cache_.Stats();
-  return stats;
 }
 
 void ScheduleService::Shutdown() {
@@ -470,7 +425,7 @@ void ScheduleService::Shutdown() {
     Status saved = cache_.Save(options_.snapshot_path);
     if (!saved.ok()) {
       if (saved.code() == StatusCode::kSnapshotIoError) {
-        snapshot_io_errors_.fetch_add(1, std::memory_order_relaxed);
+        snapshot_io_errors_.Inc();
       }
       std::fprintf(stderr, "warning: %s\n", saved.ToString().c_str());
     }
@@ -512,7 +467,7 @@ void ScheduleService::WatchdogLoop() {
     for (auto it = watched_.begin(); it != watched_.end();) {
       if (it->second.cancel_at <= now) {
         it->second.cancel->store(true, std::memory_order_release);
-        watchdog_cancellations_.fetch_add(1, std::memory_order_relaxed);
+        watchdog_cancellations_.Inc();
         it = watched_.erase(it);
       } else {
         ++it;

@@ -16,8 +16,8 @@
 // kWouldBlock, a request whose deadline passes before its solve starts
 // (or before the solve ends: Solve stops waiting, SolveOnCaller answers
 // when it ends) fails with kDeadlineExceeded, and shutdown drains the
-// queue with kCancelled. Counters for every path are exported via
-// ServiceStats.
+// queue with kCancelled. Every path counts itself in the service's
+// metrics registry (metrics()), which the STATS verb reports.
 //
 // SubmitAsync jobs are tasks on the shared ss::WorkerPool, started on first
 // use (core/worker_pool.hpp); the same pool primitive runs the parallel
@@ -35,6 +35,7 @@
 
 #include "core/deadline.hpp"
 #include "core/error.hpp"
+#include "core/metrics.hpp"
 #include "core/sync.hpp"
 #include "core/time.hpp"
 #include "core/worker_pool.hpp"
@@ -99,42 +100,6 @@ using SolveResult = std::shared_ptr<const CachedSolve>;
 using SolveFuture = std::shared_future<Expected<SolveResult>>;
 using SolveCallback = std::function<void(Expected<SolveResult>)>;
 
-struct ServiceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t cache_hits = 0;
-  /// Cache-only probes served through Lookup() (the wire protocol's lookup
-  /// verb and the tenant front end's fast path), and how many hit.
-  std::uint64_t lookups = 0;
-  std::uint64_t lookup_hits = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t solve_failures = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t queue_rejected = 0;
-  std::uint64_t cancelled = 0;
-  /// Cached artifacts (snapshot-restored) that failed verification at serve
-  /// time and were evicted instead of served.
-  std::uint64_t corrupt_rejected = 0;
-  /// Requests answered with a heuristic (quality-tagged) schedule by the
-  /// graceful-degradation path.
-  std::uint64_t degraded = 0;
-  /// Solves cooperatively cancelled by the watchdog (budget or deadline).
-  std::uint64_t watchdog_cancellations = 0;
-  /// Snapshot saves that failed with an I/O error.
-  std::uint64_t snapshot_io_errors = 0;
-  /// Total wall time spent inside the optimal scheduler.
-  Tick solve_ticks = 0;
-  CacheStats cache;
-
-  double HitRate() const {
-    const double looked = static_cast<double>(requests);
-    return looked > 0
-               ? static_cast<double>(cache_hits + coalesced) / looked
-               : 0.0;
-  }
-  std::string ToTable() const;
-};
-
 class ScheduleService {
  public:
   explicit ScheduleService(ServiceOptions options = {});
@@ -171,7 +136,9 @@ class ScheduleService {
   /// `requests`.
   Expected<SolveResult> Lookup(const SolveRequest& request);
 
-  ServiceStats Stats() const;
+  /// Every counter of the service and its cache, as `service_*` and
+  /// `cache_*` rows (docs/net.md lists them).
+  const MetricsRegistry& metrics() const { return metrics_; }
   ScheduleCache& cache() { return cache_; }
 
   /// Stops workers, fails queued requests with kCancelled, waits for every
@@ -203,10 +170,10 @@ class ScheduleService {
   void RunJob(const Job& job) SS_EXCLUDES(mu_);
   void FinishJob(const Job& job, const Expected<SolveResult>& result)
       SS_EXCLUDES(mu_);
-  static Expected<SolveResult> RunSolve(const graph::Fingerprint& key,
-                                        const SolveRequest& request,
-                                        int default_solver_threads,
-                                        const std::atomic<bool>* cancel);
+  /// The exact solve; counts the nodes it explored and whether its node
+  /// budget ran out.
+  Expected<SolveResult> RunSolve(const Job& job,
+                                 const std::atomic<bool>* cancel);
 
   /// One solve with the resilience stack: watchdog arming and — for
   /// degradable requests — the heuristic fallback.
@@ -252,21 +219,39 @@ class ScheduleService {
   std::thread watchdog_ SS_GUARDED_BY(watch_mu_);
   bool watch_stop_ SS_GUARDED_BY(watch_mu_) = false;
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> lookups_{0};
-  std::atomic<std::uint64_t> lookup_hits_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> solves_{0};
-  std::atomic<std::uint64_t> solve_failures_{0};
-  std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> queue_rejected_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> corrupt_rejected_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> watchdog_cancellations_{0};
-  std::atomic<std::uint64_t> snapshot_io_errors_{0};
-  std::atomic<Tick> solve_ticks_{0};
+  MetricsRegistry metrics_;
+  Counter& requests_ = metrics_.AddCounter("service_requests", "requests");
+  Counter& cache_hits_ =
+      metrics_.AddCounter("service_cache_hits", "cache hits");
+  Counter& lookups_ =
+      metrics_.AddCounter("service_lookups", "lookups (cache probes)");
+  Counter& lookup_hits_ =
+      metrics_.AddCounter("service_lookup_hits", "lookup hits");
+  Counter& coalesced_ =
+      metrics_.AddCounter("service_coalesced", "coalesced (single-flight)");
+  Counter& solves_ =
+      metrics_.AddCounter("service_solves", "solver invocations");
+  Counter& solve_failures_ =
+      metrics_.AddCounter("service_solve_failures", "solver failures");
+  Counter& deadline_exceeded_ =
+      metrics_.AddCounter("service_deadline_exceeded", "deadline exceeded");
+  Counter& queue_rejected_ =
+      metrics_.AddCounter("service_queue_rejected", "queue rejected");
+  Counter& cancelled_ = metrics_.AddCounter("service_cancelled", "cancelled");
+  Counter& corrupt_rejected_ = metrics_.AddCounter(
+      "service_corrupt_rejected", "corrupt artifacts rejected");
+  Counter& degraded_ =
+      metrics_.AddCounter("service_degraded", "degraded (heuristic) serves");
+  Counter& watchdog_cancellations_ = metrics_.AddCounter(
+      "service_watchdog_cancellations", "watchdog cancellations");
+  Counter& snapshot_io_errors_ = metrics_.AddCounter(
+      "service_snapshot_io_errors", "snapshot I/O errors");
+  Counter& solve_wall_us_ =
+      metrics_.AddCounter("service_solve_wall_us", "solver wall time");
+  Counter& solver_nodes_ =
+      metrics_.AddCounter("service_solver_nodes", "solver nodes explored");
+  Counter& solver_budget_exhausted_ = metrics_.AddCounter(
+      "service_solver_budget_exhausted", "solves out of node budget");
 };
 
 }  // namespace ss::service

@@ -37,13 +37,11 @@ Status FairScheduler::Submit(int tenant_index, FairJob job, Tick deadline) {
   }
   Lane& lane = lanes_[static_cast<std::size_t>(tenant_index)];
   if (lane.jobs.size() >= lane.capacity) {
-    ++lane.rejected_full;
     return WouldBlockError("tenant queue full (" +
                            std::to_string(lane.capacity) +
                            " pending); retry later");
   }
   lane.jobs.push_back(Entry{std::move(job), deadline});
-  ++lane.submitted;
   ++total_queued_;
   cv_.NotifyOne();
   return OkStatus();
@@ -66,8 +64,6 @@ bool FairScheduler::NextJobLocked(FairJob* out,
       while (!lane.jobs.empty() && lane.jobs.front().deadline <= now) {
         expired->push_back(std::move(lane.jobs.front().job));
         lane.jobs.pop_front();
-        ++lane.expired;
-        ++expired_;
         --total_queued_;
       }
       if (lane.jobs.empty()) {
@@ -87,7 +83,6 @@ bool FairScheduler::NextJobLocked(FairJob* out,
       lane.deficit -= 1.0;
       *out = std::move(lane.jobs.front().job);
       lane.jobs.pop_front();
-      ++lane.dispatched;
       --total_queued_;
       if (lane.jobs.empty()) {
         lane.deficit = 0.0;
@@ -141,20 +136,6 @@ std::size_t FairScheduler::QueuedFor(int tenant_index) const {
   return lanes_[static_cast<std::size_t>(tenant_index)].jobs.size();
 }
 
-FairQueueStats FairScheduler::Stats() const {
-  MutexLock lock(mu_);
-  FairQueueStats stats;
-  for (const Lane& lane : lanes_) {
-    stats.submitted += lane.submitted;
-    stats.dispatched += lane.dispatched;
-    stats.rejected_full += lane.rejected_full;
-    stats.queued += lane.jobs.size();
-  }
-  stats.cancelled = cancelled_;
-  stats.expired = expired_;
-  return stats;
-}
-
 void FairScheduler::Shutdown() {
   std::vector<std::thread> reaped;
   {
@@ -174,7 +155,6 @@ void FairScheduler::Shutdown() {
         cancelled.push_back(std::move(lane.jobs.front().job));
         lane.jobs.pop_front();
         --total_queued_;
-        ++cancelled_;
       }
       lane.deficit = 0.0;
     }

@@ -16,7 +16,6 @@
 // in-flight solve and returns), so `dispatch_threads` caps running solves.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -52,16 +51,6 @@ struct FairQueueOptions {
   int dispatch_threads = 2;
 };
 
-struct FairQueueStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t dispatched = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t cancelled = 0;
-  /// Jobs completed with kExpired because their deadline passed in queue.
-  std::uint64_t expired = 0;
-  std::uint64_t queued = 0;  // current total backlog
-};
-
 class FairScheduler {
  public:
   explicit FairScheduler(FairQueueOptions options = {});
@@ -91,8 +80,6 @@ class FairScheduler {
   /// Current backlog of one lane.
   std::size_t QueuedFor(int tenant_index) const;
 
-  FairQueueStats Stats() const;
-
   /// Stops dispatcher threads, then fails every queued job with
   /// cancelled == true on the calling thread. Idempotent.
   void Shutdown();
@@ -109,10 +96,6 @@ class FairScheduler {
     std::size_t capacity = 0;
     std::deque<Entry> jobs;
     double deficit = 0.0;
-    std::uint64_t submitted = 0;
-    std::uint64_t dispatched = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t expired = 0;
   };
 
   /// Picks the next job per DRR under mu_ (caller holds the lock). Lane
@@ -130,8 +113,6 @@ class FairScheduler {
   /// Round-robin cursor: lane to visit next.
   std::size_t cursor_ SS_GUARDED_BY(mu_) = 0;
   std::size_t total_queued_ SS_GUARDED_BY(mu_) = 0;
-  std::uint64_t cancelled_ SS_GUARDED_BY(mu_) = 0;
-  std::uint64_t expired_ SS_GUARDED_BY(mu_) = 0;
   bool shutdown_ SS_GUARDED_BY(mu_) = false;
   /// Written in the constructor (single-threaded) and swapped out under
   /// mu_ by Shutdown so a concurrent Shutdown joins each thread once.

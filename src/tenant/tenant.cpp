@@ -8,28 +8,39 @@
 
 namespace ss::tenant {
 
-TenantStats TenantState::Stats(std::uint64_t queued_now) const {
-  TenantStats stats;
-  stats.name = config.name;
-  stats.weight = config.weight;
-  stats.admitted = admitted.load(std::memory_order_relaxed);
-  stats.rejected_rate_limited =
-      rejected_rate_limited.load(std::memory_order_relaxed);
-  stats.rejected_queue_full =
-      rejected_queue_full.load(std::memory_order_relaxed);
-  stats.dispatched = dispatched.load(std::memory_order_relaxed);
-  stats.completed = completed.load(std::memory_order_relaxed);
-  stats.failed = failed.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled.load(std::memory_order_relaxed);
-  stats.expired_in_queue =
-      expired_in_queue.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  stats.queued = queued_now;
-  const LatencyHistogram::Snapshot snap = latency.TakeSnapshot();
-  stats.p50_latency_us = snap.p50();
-  stats.p99_latency_us = snap.p99();
-  stats.p999_latency_us = snap.p999();
-  return stats;
+namespace {
+
+Counter& Row(MetricsRegistry& m, const TenantConfig& c, const char* name,
+             const char* help) {
+  return m.AddCounter(name, help, {{"tenant", c.name}});
+}
+
+}  // namespace
+
+TenantState::TenantState(TenantConfig config_in, int index_in, Tick now,
+                         std::shared_ptr<MetricsRegistry> metrics_in)
+    : config(std::move(config_in)),
+      index(index_in),
+      metrics(std::move(metrics_in)),
+      bucket(config.rate_per_sec, config.burst, now),
+      admitted(Row(*metrics, config, "tenant_admitted", "admitted")),
+      rejected_rate_limited(Row(*metrics, config,
+                                "tenant_rejected_rate_limited",
+                                "rejected by the rate limit")),
+      rejected_queue_full(Row(*metrics, config, "tenant_rejected_queue_full",
+                              "rejected, lane full")),
+      cache_hits(Row(*metrics, config, "tenant_cache_hits", "cache hits")),
+      dispatched(Row(*metrics, config, "tenant_dispatched", "dispatched")),
+      completed(Row(*metrics, config, "tenant_completed", "completed")),
+      failed(Row(*metrics, config, "tenant_failed", "failed")),
+      cancelled(Row(*metrics, config, "tenant_cancelled", "cancelled")),
+      expired_in_queue(Row(*metrics, config, "tenant_expired_in_queue",
+                           "expired in queue")),
+      latency(metrics->AddHistogram("tenant_latency_us",
+                                    "latency, submit to completion",
+                                    {{"tenant", config.name}})) {
+  metrics->AddGauge("tenant_weight", "weight", {{"tenant", config.name}},
+                    [weight = config.weight] { return weight; });
 }
 
 TenantRegistry::TenantRegistry(RegistryOptions options)
@@ -63,13 +74,15 @@ Expected<std::shared_ptr<TenantState>> TenantRegistry::Register(
         " tenants)"));
   }
   auto state = std::make_shared<TenantState>(
-      std::move(config), static_cast<int>(tenants_.size()), WallNow());
+      std::move(config), static_cast<int>(tenants_.size()), WallNow(),
+      metrics_);
   tenants_.push_back(state);
   return state;
 }
 
 Expected<std::shared_ptr<TenantState>> TenantRegistry::Resolve(
-    const std::string& name) {
+    const std::string& name, bool* created) {
+  if (created != nullptr) *created = false;
   {
     MutexLock lock(mu_);
     for (const auto& t : tenants_) {
@@ -82,17 +95,15 @@ Expected<std::shared_ptr<TenantState>> TenantRegistry::Resolve(
   TenantConfig config = options_.default_config;
   config.name = name;
   auto registered = Register(std::move(config));
-  if (registered.ok()) return registered;
+  if (registered.ok()) {
+    if (created != nullptr) *created = true;
+    return registered;
+  }
   if (registered.status().code() == StatusCode::kAlreadyExists) {
     // Lost a registration race: the other thread's entry is the answer.
-    return Resolve(name);
+    return Resolve(name, created);
   }
   return registered.status();
-}
-
-std::vector<std::shared_ptr<TenantState>> TenantRegistry::All() const {
-  MutexLock lock(mu_);
-  return tenants_;
 }
 
 std::size_t TenantRegistry::size() const {

@@ -14,7 +14,6 @@
 // tenant, same key=value idiom as the .ssg problem format).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,7 +21,7 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/histogram.hpp"
+#include "core/metrics.hpp"
 #include "core/sync.hpp"
 #include "core/time.hpp"
 
@@ -83,59 +82,39 @@ class TokenBucket {
   Tick last_refill_ = 0;
 };
 
-/// Point-in-time counters for one tenant, as exposed through the stats
-/// protocol request. Latency percentiles come from the tenant's streaming
-/// histogram (core/histogram.hpp), measured submit -> completion.
-struct TenantStats {
-  std::string name;
-  double weight = 1.0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_rate_limited = 0;
-  std::uint64_t rejected_queue_full = 0;
-  /// Jobs handed to the solver pool by the fair scheduler (cache misses).
-  std::uint64_t dispatched = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  /// Queued requests completed with kDeadlineExceeded because their
-  /// deadline passed before a dispatcher reached them.
-  std::uint64_t expired_in_queue = 0;
-  /// Requests answered from the schedule cache without queueing.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t queued = 0;  // current pending depth
-  double p50_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
-};
-
 /// Everything the front end tracks about one tenant. The mutex guards the
-/// token bucket; counters are relaxed atomics (incremented from dispatcher
-/// threads and the submit path concurrently).
+/// token bucket; the counters are handles into the front end's metrics
+/// registry, registered with the tenant and labelled with its name
+/// (incremented from dispatcher threads and the submit path concurrently).
 struct TenantState {
-  explicit TenantState(TenantConfig config_in, int index_in, Tick now)
-      : config(std::move(config_in)),
-        index(index_in),
-        bucket(config.rate_per_sec, config.burst, now) {}
+  TenantState(TenantConfig config_in, int index_in, Tick now,
+              std::shared_ptr<MetricsRegistry> metrics_in);
 
   const TenantConfig config;
   /// Dense index assigned at registration; keys the fair scheduler.
   const int index;
+  /// Owns the counters below: a completion can hold this state after the
+  /// front end that registered it is gone.
+  const std::shared_ptr<MetricsRegistry> metrics;
 
   Mutex bucket_mu;
   TokenBucket bucket SS_GUARDED_BY(bucket_mu);
 
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<std::uint64_t> rejected_rate_limited{0};
-  std::atomic<std::uint64_t> rejected_queue_full{0};
-  std::atomic<std::uint64_t> dispatched{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> cancelled{0};
-  std::atomic<std::uint64_t> expired_in_queue{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  LatencyHistogram latency;
-
-  TenantStats Stats(std::uint64_t queued_now) const;
+  Counter& admitted;
+  Counter& rejected_rate_limited;
+  Counter& rejected_queue_full;
+  /// Requests answered from the schedule cache without queueing.
+  Counter& cache_hits;
+  /// Jobs handed to a dispatcher by the fair scheduler (cache misses).
+  Counter& dispatched;
+  Counter& completed;
+  Counter& failed;
+  Counter& cancelled;
+  /// Queued requests completed with kDeadlineExceeded because their
+  /// deadline passed before a dispatcher reached them.
+  Counter& expired_in_queue;
+  /// Submit -> completion, in microseconds.
+  LatencyHistogram& latency;
 };
 
 struct RegistryOptions {
@@ -159,17 +138,20 @@ class TenantRegistry {
   /// kAlreadyExists, or kFailedPrecondition (registry full).
   Expected<std::shared_ptr<TenantState>> Register(TenantConfig config);
 
-  /// Finds a tenant, auto-registering when the policy allows.
-  Expected<std::shared_ptr<TenantState>> Resolve(const std::string& name);
-
-  /// Registered tenants in registration (index) order.
-  std::vector<std::shared_ptr<TenantState>> All() const;
+  /// Finds a tenant, auto-registering when the policy allows. `created`
+  /// (when given) is set to whether this call registered it.
+  Expected<std::shared_ptr<TenantState>> Resolve(const std::string& name,
+                                                 bool* created = nullptr);
 
   std::size_t size() const;
   const RegistryOptions& options() const { return options_; }
+  /// Every registered tenant's rows, labelled tenant=<name>.
+  MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   RegistryOptions options_;
+  const std::shared_ptr<MetricsRegistry> metrics_ =
+      std::make_shared<MetricsRegistry>();
   mutable Mutex mu_;
   std::vector<std::shared_ptr<TenantState>> tenants_
       SS_GUARDED_BY(mu_);  // index order

@@ -16,16 +16,17 @@
 //
 // Completion is a callback (possibly inline for hits and rejected
 // submissions never invoke it), so the network layer can run this from an
-// event loop without blocking. Per-tenant counters and a streaming latency
-// histogram feed the stats protocol request.
+// event loop without blocking. Per-tenant counters, lane depths and a
+// streaming latency histogram are rows of this front end's metrics
+// registry, labelled by tenant; the STATS verb reports them.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/error.hpp"
+#include "core/metrics.hpp"
 #include "core/sync.hpp"
 #include "service/schedule_service.hpp"
 #include "tenant/fair_queue.hpp"
@@ -69,18 +70,15 @@ class TenantScheduler {
                      service::SolveRequest request, Callback done);
 
   /// Cache-only probe on behalf of a tenant: never queues, never consumes
-  /// a token. kNotFound on miss.
+  /// a token. kNotFound on a miss and for an unknown tenant; `miss` (when
+  /// given) is set only for the former, so callers can tell them apart.
   Expected<service::SolveResult> Lookup(const std::string& tenant_name,
-                                        const service::SolveRequest& request);
+                                        const service::SolveRequest& request,
+                                        bool* miss = nullptr);
 
-  /// Resolves (or auto-registers) the tenant without admitting a request.
-  /// Lets callers distinguish "unknown tenant" (kNotFound here) from a
-  /// cache miss (kNotFound from Lookup).
-  Status TouchTenant(const std::string& tenant_name);
-
-  /// Per-tenant snapshots in registration order.
-  std::vector<TenantStats> Stats() const;
-  FairQueueStats QueueStats() const { return fair_.Stats(); }
+  /// Every tenant's rows (`tenant_*`, labelled tenant=<name>), registered
+  /// with the tenant, in registration order.
+  const MetricsRegistry& metrics() const { return registry_.metrics(); }
   std::size_t tenant_count() const { return registry_.size(); }
 
   /// Stops dispatchers and fails queued jobs with kCancelled (their
@@ -91,6 +89,8 @@ class TenantScheduler {
   /// Resolves the tenant and guarantees its fair-queue lane exists.
   Expected<std::shared_ptr<TenantState>> ResolveTenant(
       const std::string& name);
+  /// Adds a just-registered tenant's lane and its `tenant_queued` row.
+  void AddLane(const TenantState& state) SS_REQUIRES(register_mu_);
 
   service::ScheduleService* service_;
   TenantRegistry registry_;

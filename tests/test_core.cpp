@@ -13,6 +13,7 @@
 #include "core/deadline.hpp"
 #include "core/error.hpp"
 #include "core/ids.hpp"
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/steal_deque.hpp"
@@ -294,6 +295,125 @@ TEST(AsciiTableTest, RuleBetweenRows) {
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatDouble(2.0, 3), "2.000");
+}
+
+// ---- metrics registry -------------------------------------------------------
+
+TEST(MetricsRegistry, RowsComeBackInRegistrationOrderWithTheirValues) {
+  MetricsRegistry registry;
+  Counter& requests = registry.AddCounter("svc_requests", "requests");
+  Counter& loop0 =
+      registry.AddCounter("net_frames", "frames received", {{"loop", "0"}});
+  Counter& loop1 =
+      registry.AddCounter("net_frames", "frames received", {{"loop", "1"}});
+  LatencyHistogram& latency =
+      registry.AddHistogram("svc_latency_us", "latency", {{"tenant", "a"}});
+  std::uint64_t external = 7;
+  registry.AddCounterFn("svc_external", "read at snapshot time", {},
+                        [&] { return external; });
+  registry.AddGauge("svc_weight", "weight", {{"tenant", "a"}},
+                    [] { return 2.5; });
+
+  requests.Inc();
+  loop0.Inc(3);
+  loop1.Inc(4);
+  for (int v : {10, 20, 30, 40}) latency.Add(v);
+  external = 9;
+
+  const MetricSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.rows.size(), 6u);
+  EXPECT_EQ(snap.rows[0].name, "svc_requests");
+  EXPECT_EQ(snap.rows[0].help, "requests");
+  EXPECT_EQ(snap.rows[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(snap.rows[1].labels, (MetricLabels{{"loop", "0"}}));
+  EXPECT_EQ(snap.rows[3].kind, MetricKind::kHistogram);
+  EXPECT_EQ(snap.rows[3].count, 4u);
+  EXPECT_GT(snap.rows[3].p50, 0.0);
+  EXPECT_GE(snap.rows[3].p999, snap.rows[3].p50);
+  EXPECT_EQ(snap.rows[5].kind, MetricKind::kGauge);
+
+  EXPECT_EQ(snap.Count("svc_requests"), 1u);
+  EXPECT_EQ(snap.Count("net_frames"), 7u);  // summed over loops
+  EXPECT_EQ(snap.Count("net_frames", {{"loop", "1"}}), 4u);
+  EXPECT_EQ(snap.Count("net_frames", {{"loop", "2"}}), 0u);
+  EXPECT_EQ(snap.Count("svc_external"), 9u);
+  EXPECT_EQ(snap.Count("no_such_metric"), 0u);
+  EXPECT_DOUBLE_EQ(snap.Gauge("svc_weight", {{"tenant", "a"}}), 2.5);
+  EXPECT_EQ(snap.Find("svc_weight", {{"tenant", "b"}}), nullptr);
+  ASSERT_NE(snap.Find("svc_latency_us"), nullptr);
+  EXPECT_EQ(snap.Find("svc_latency_us")->count, 4u);
+}
+
+TEST(MetricsRegistry, HandlesStayValidAsTheRegistryGrows) {
+  MetricsRegistry registry;
+  Counter& first = registry.AddCounter("first", "the first row");
+  LatencyHistogram& hist = registry.AddHistogram("hist", "a histogram");
+  for (int i = 0; i < 1000; ++i) {
+    registry.AddCounter("filler", "growth", {{"i", std::to_string(i)}});
+  }
+  first.Inc(5);
+  hist.Add(3);
+  const MetricSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.rows.size(), 1002u);
+  EXPECT_EQ(snap.Count("first"), 5u);
+  EXPECT_EQ(snap.Count("hist"), 1u);
+}
+
+TEST(MetricsRegistry, ConcurrentIncrementsRegistrationsAndSnapshots) {
+  // Increments are exact under concurrency, and snapshots taken while
+  // other threads register rows see a prefix of registration order.
+  MetricsRegistry registry;
+  Counter& hits = registry.AddCounter("hits", "hits");
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 20000;
+  constexpr int kRegistrations = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) hits.Inc();
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kRegistrations; ++i) {
+      registry.AddGauge("late", "registered under load",
+                        {{"i", std::to_string(i)}}, [i] { return i; });
+    }
+  });
+  std::size_t seen = 0;
+  for (int i = 0; i < 50; ++i) {
+    const MetricSnapshot snap = registry.Snapshot();
+    EXPECT_GE(snap.rows.size(), seen);
+    seen = snap.rows.size();
+    EXPECT_EQ(snap.rows.front().name, "hits");
+  }
+  for (std::thread& t : threads) t.join();
+  const MetricSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.Count("hits"),
+            static_cast<std::uint64_t>(kThreads) * kIncrements);
+  EXPECT_EQ(snap.rows.size(), 1u + kRegistrations);
+  EXPECT_DOUBLE_EQ(snap.Gauge("late", {{"i", "199"}}), 199.0);
+}
+
+TEST(MetricsRegistry, RendersOneTableWithHelpLabelsAndSections) {
+  MetricsRegistry registry;
+  registry.AddCounter("service_solves", "solver invocations").Inc(12);
+  registry.AddGauge("service_hit_rate", "hit rate", {}, [] { return 0.25; });
+  registry.AddCounter("net_frames", "frames received", {{"loop", "1"}});
+  registry.AddHistogram("tenant_latency_us", "latency", {{"tenant", "a"}})
+      .Add(100);
+  const std::string table = registry.Snapshot().ToTable();
+  for (const char* cell : {"metric", "labels", "value", "help",
+                           "service_solves", "solver invocations", "12",
+                           "0.250", "loop=1", "tenant=a", "n=1 p50="}) {
+    EXPECT_NE(table.find(cell), std::string::npos) << cell << "\n" << table;
+  }
+  // A rule under the header, and one before each new name prefix.
+  std::size_t rules = 0;
+  for (std::size_t at = table.find("\n-"); at != std::string::npos;
+       at = table.find("\n-", at + 1)) {
+    ++rules;
+  }
+  EXPECT_EQ(rules, 3u);
 }
 
 // ---- worker pool -------------------------------------------------------------

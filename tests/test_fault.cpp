@@ -18,6 +18,8 @@
 #include "graph/graph_io.hpp"
 #include "graph/op_graph.hpp"
 #include "graph/synthetic.hpp"
+#include "net/async_client.hpp"
+#include "net/server.hpp"
 #include "regime/arrivals.hpp"
 #include "regime/degraded_table.hpp"
 #include "regime/fault_manager.hpp"
@@ -26,6 +28,7 @@
 #include "service/schedule_cache.hpp"
 #include "service/schedule_service.hpp"
 #include "sim/online_sim.hpp"
+#include "tenant/tenant_service.hpp"
 
 namespace ss {
 namespace {
@@ -432,6 +435,24 @@ TEST(FaultManagerTest, SlowdownInflatesLatencyWithoutTableSwitch) {
 
 // ---- resilient service paths -------------------------------------------------
 
+/// The rows a STATS request answers for `service`, over a real socket to
+/// a server started around it for this one request.
+Expected<MetricSnapshot> StatsOverTheWire(service::ScheduleService* service) {
+  tenant::TenantScheduler tenants(service, tenant::TenantSchedulerOptions{});
+  net::Server server(net::ServerOptions{}, service, &tenants);
+  SS_RETURN_IF_ERROR(server.Start());
+  Expected<net::StatsResponseMsg> stats = [&] {
+    net::AsyncClient client;
+    Status connected = client.Connect("127.0.0.1", server.port());
+    return connected.ok() ? client.Stats()
+                          : Expected<net::StatsResponseMsg>(connected);
+  }();
+  server.Stop();
+  tenants.Shutdown();
+  if (!stats.ok()) return stats.status();
+  return std::move(stats->metrics);
+}
+
 service::ServiceOptions ServiceOpts(int workers) {
   service::ServiceOptions options;
   options.workers = workers;
@@ -454,9 +475,9 @@ TEST(ResilientServiceTest, DegradesToHeuristicOnPersistentFailure) {
   EXPECT_EQ((*result)->quality, sched::ScheduleQuality::kHeuristic);
   EXPECT_GT((*result)->schedule.Latency(), 0);
 
-  auto stats = service.Stats();
-  EXPECT_EQ(stats.degraded, 1u);
-  EXPECT_EQ(stats.solve_failures, 0u);
+  auto stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_degraded"), 1u);
+  EXPECT_EQ(stats.Count("service_solve_failures"), 0u);
   // Heuristic results are never cached: the optimum is still owed.
   EXPECT_EQ(service.cache().Lookup(
                 service::ScheduleService::RequestKey(request)),
@@ -468,9 +489,9 @@ TEST(ResilientServiceTest, DegradesToHeuristicOnPersistentFailure) {
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
       << failed.status().ToString();
-  stats = service.Stats();
-  EXPECT_EQ(stats.solve_failures, 1u);
-  EXPECT_EQ(stats.degraded, 1u);
+  stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_solve_failures"), 1u);
+  EXPECT_EQ(stats.Count("service_degraded"), 1u);
 }
 
 TEST(ResilientServiceTest, PastDeadlineServedHeuristicWhenDegradable) {
@@ -486,9 +507,9 @@ TEST(ResilientServiceTest, PastDeadlineServedHeuristicWhenDegradable) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)->quality, sched::ScheduleQuality::kHeuristic);
 
-  auto stats = service.Stats();
-  EXPECT_EQ(stats.degraded, 1u);
-  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  auto stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_degraded"), 1u);
+  EXPECT_EQ(stats.Count("service_deadline_exceeded"), 0u);
   EXPECT_EQ(service.cache().Lookup(
                 service::ScheduleService::RequestKey(request)),
             nullptr);
@@ -518,8 +539,9 @@ TEST(ResilientServiceTest, WatchdogCancelsStuckSolve) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)->quality, sched::ScheduleQuality::kHeuristic);
 
-  auto stats = service.Stats();
-  EXPECT_GE(stats.watchdog_cancellations, 1u);
+  auto stats = StatsOverTheWire(&service);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GE(stats->Count("service_watchdog_cancellations"), 1u);
   EXPECT_EQ(service.cache().Lookup(
                 service::ScheduleService::RequestKey(request)),
             nullptr);
@@ -530,7 +552,9 @@ TEST(ResilientServiceTest, SnapshotSaveFailureIsTypedAndCounted) {
   options.snapshot_path = "/nonexistent-dir-for-sscache/cache.sscache";
   service::ScheduleService service(options);
   service.Shutdown();
-  EXPECT_EQ(service.Stats().snapshot_io_errors, 1u);
+  auto stats = StatsOverTheWire(&service);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->Count("service_snapshot_io_errors"), 1u);
 }
 
 // ---- crash-safe snapshots ----------------------------------------------------

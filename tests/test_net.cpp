@@ -146,28 +146,30 @@ TEST(Protocol, SolveRequestRoundTrip) {
   EXPECT_EQ(decoded.allow_degraded, msg.allow_degraded);
 }
 
-TEST(Protocol, StatsResponseRoundTrip) {
+/// A STATS body as a server with one tenant and one loop would send it:
+/// a service row, a tenant-labelled counter and histogram, a loop-labelled
+/// counter and a gauge.
+StatsResponseMsg SampleStats() {
+  MetricsRegistry registry;
+  registry.AddCounter("service_solves", "solver invocations").Inc(42);
+  registry.AddCounter("tenant_admitted", "admitted", {{"tenant", "video"}})
+      .Inc(9);
+  LatencyHistogram& latency = registry.AddHistogram(
+      "tenant_latency_us", "latency", {{"tenant", "video"}});
+  latency.Add(1200);
+  latency.Add(5600);
+  registry.AddCounter("net_protocol_errors", "protocol errors",
+                      {{"loop", "1"}})
+      .Inc(3);
+  registry.AddGauge("tenant_weight", "weight", {{"tenant", "video"}},
+                    [] { return 4.0; });
   StatsResponseMsg msg;
-  msg.requests = 42;
-  msg.cache_hits = 17;
-  msg.retries = 5;
-  msg.protocol_errors = 3;
-  msg.shed_overload = 2;
-  msg.expired_in_queue = 4;
-  msg.uptime_micros = 123456789;
-  TenantStatsMsg t;
-  t.name = "video";
-  t.weight = 4.0;
-  t.admitted = 9;
-  t.p99_latency_us = 1234.5;
-  t.p999_latency_us = 5678.25;
-  msg.tenants.push_back(t);
-  LoopStatsMsg loop;
-  loop.loop = 1;
-  loop.connections_active = 3;
-  loop.frames_received = 77;
-  loop.responses_sent = 76;
-  msg.loops.push_back(loop);
+  msg.metrics = registry.Snapshot();
+  return msg;
+}
+
+TEST(Protocol, StatsResponseRoundTrip) {
+  const StatsResponseMsg msg = SampleStats();
   const auto frame = EncodeFrame(MsgType::kStatsOk, EncodeBody(msg));
 
   FrameDecoder decoder;
@@ -180,24 +182,88 @@ TEST(Protocol, StatsResponseRoundTrip) {
 
   StatsResponseMsg decoded;
   ASSERT_TRUE(Decode(out.body.data(), out.body.size(), &decoded).ok());
-  EXPECT_EQ(decoded.requests, 42u);
-  EXPECT_EQ(decoded.cache_hits, 17u);
-  EXPECT_EQ(decoded.retries, 5u);
+  ASSERT_EQ(decoded.metrics.rows.size(), msg.metrics.rows.size());
+  for (std::size_t i = 0; i < msg.metrics.rows.size(); ++i) {
+    const MetricRow& want = msg.metrics.rows[i];
+    const MetricRow& got = decoded.metrics.rows[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.help, want.help);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_DOUBLE_EQ(got.value, want.value);
+    EXPECT_DOUBLE_EQ(got.p50, want.p50);
+    EXPECT_DOUBLE_EQ(got.p99, want.p99);
+    EXPECT_DOUBLE_EQ(got.p999, want.p999);
+  }
+  // The typed copies perfbench reads come from the rows.
+  EXPECT_EQ(decoded.solves, 42u);
+  EXPECT_EQ(decoded.coalesced, 0u);
+  EXPECT_EQ(decoded.retries, 0u);
   EXPECT_EQ(decoded.protocol_errors, 3u);
-  EXPECT_EQ(decoded.shed_overload, 2u);
-  EXPECT_EQ(decoded.expired_in_queue, 4u);
-  EXPECT_EQ(decoded.uptime_micros, 123456789);
-  ASSERT_EQ(decoded.tenants.size(), 1u);
-  EXPECT_EQ(decoded.tenants[0].name, "video");
-  EXPECT_DOUBLE_EQ(decoded.tenants[0].weight, 4.0);
-  EXPECT_EQ(decoded.tenants[0].admitted, 9u);
-  EXPECT_DOUBLE_EQ(decoded.tenants[0].p99_latency_us, 1234.5);
-  EXPECT_DOUBLE_EQ(decoded.tenants[0].p999_latency_us, 5678.25);
-  ASSERT_EQ(decoded.loops.size(), 1u);
-  EXPECT_EQ(decoded.loops[0].loop, 1u);
-  EXPECT_EQ(decoded.loops[0].connections_active, 3u);
-  EXPECT_EQ(decoded.loops[0].frames_received, 77u);
-  EXPECT_EQ(decoded.loops[0].responses_sent, 76u);
+  EXPECT_EQ(decoded.metrics.Count("tenant_admitted", {{"tenant", "video"}}),
+            9u);
+  EXPECT_DOUBLE_EQ(decoded.metrics.Gauge("tenant_weight"), 4.0);
+  const MetricRow* latency = decoded.metrics.Find("tenant_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2u);
+  EXPECT_GE(latency->p999, latency->p50);
+}
+
+TEST(Protocol, StatsResponseFor1024TenantsFitsAFrame) {
+  // 16x the default tenant cap, each with every per-tenant row a server
+  // registers; rows repeat their names and labels.
+  service::ScheduleService service{service::ServiceOptions{}};
+  tenant::TenantSchedulerOptions options;
+  options.registry.max_tenants = 1024;
+  options.dispatch_threads = 0;
+  tenant::TenantScheduler tenants(&service, options);
+  for (int i = 0; i < 1024; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "tenant-%04d", i);
+    ASSERT_TRUE(tenants.RegisterTenant({.name = name}).ok());
+  }
+  StatsResponseMsg msg;
+  msg.metrics = service.metrics().Snapshot();
+  msg.metrics.Append(tenants.metrics().Snapshot());
+  const std::vector<std::uint8_t> body = EncodeBody(msg);
+  EXPECT_LE(kFrameHeaderBytes + body.size(), kMaxFrameBytes)
+      << body.size() << " body bytes";
+  StatsResponseMsg decoded;
+  ASSERT_TRUE(Decode(body.data(), body.size(), &decoded).ok());
+  EXPECT_EQ(decoded.metrics.rows.size(), msg.metrics.rows.size());
+  tenants.Shutdown();
+}
+
+TEST(Protocol, StatsDecodeRefusesCountsTheBodyCannotHold) {
+  // A row count no body of this size could hold is refused before any
+  // reserve; so is a label count.
+  std::vector<std::uint8_t> rows;
+  WireWriter w(&rows);
+  w.U32(0xFFFFFFFFu);
+  w.U64(0);
+  StatsResponseMsg out;
+  EXPECT_FALSE(Decode(rows.data(), rows.size(), &out).ok());
+
+  std::vector<std::uint8_t> labels;
+  WireWriter l(&labels);
+  l.U32(1);  // one row
+  l.Str("service_solves");
+  l.U8(static_cast<std::uint8_t>(MetricKind::kCounter));
+  l.U32(0x10000000u);  // labels
+  l.U64(7);
+  l.U32(0);  // no help entries
+  EXPECT_FALSE(Decode(labels.data(), labels.size(), &out).ok());
+
+  std::vector<std::uint8_t> kind;
+  WireWriter k(&kind);
+  k.U32(1);
+  k.Str("x");
+  k.U8(9);  // no such kind
+  k.U32(0);
+  k.U64(7);
+  k.U32(0);
+  EXPECT_FALSE(Decode(kind.data(), kind.size(), &out).ok());
 }
 
 TEST(Protocol, ErrorCodesSurviveTheWire) {
@@ -392,22 +458,27 @@ TEST(FrameDecoder, TruncationSweepNeverCrashesDecoder) {
   }
 }
 
-TEST(WireReaderTest, TruncatedAndTrailingBodiesFailDecode) {
-  const std::vector<std::uint8_t> encoded = EncodeBody(SolveMsg("t", 1));
-  const std::uint8_t* body = encoded.data();
-  const std::size_t body_size = encoded.size();
-
-  SolveRequestMsg out;
-  ASSERT_TRUE(Decode(body, body_size, &out).ok());
-  // Every strict prefix of the body must fail, never crash (fuzz-ish sweep
-  // over all truncation points).
-  for (std::size_t cut = 0; cut < body_size; ++cut) {
-    EXPECT_FALSE(Decode(body, cut, &out).ok()) << "cut=" << cut;
+/// Every strict prefix of `encoded` fails to decode as Msg with a typed
+/// error, never a crash (fuzz-ish sweep over all truncation points), and so
+/// does the body with one trailing byte (trailing bytes hide version skew).
+template <typename Msg>
+void SweepTruncations(const std::vector<std::uint8_t>& encoded) {
+  Msg out;
+  ASSERT_TRUE(Decode(encoded.data(), encoded.size(), &out).ok());
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+    Msg partial;
+    const Status decoded = Decode(encoded.data(), cut, &partial);
+    EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument) << "cut=" << cut;
   }
-  // Trailing garbage is malformed too (hides version skew).
-  std::vector<std::uint8_t> padded(body, body + body_size);
+  std::vector<std::uint8_t> padded = encoded;
   padded.push_back(0xFF);
-  EXPECT_FALSE(Decode(padded.data(), padded.size(), &out).ok());
+  EXPECT_EQ(Decode(padded.data(), padded.size(), &out).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireReaderTest, TruncatedAndTrailingBodiesFailDecode) {
+  SweepTruncations<SolveRequestMsg>(EncodeBody(SolveMsg("t", 1)));
+  SweepTruncations<StatsResponseMsg>(EncodeBody(SampleStats()));
 }
 
 // ---- End-to-end over a real socket ---------------------------------------
@@ -518,19 +589,29 @@ TEST(NetServer, SolveLookupStatsHealthHappyPath) {
 
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->requests, 1u);       // the dispatched cold solve
-  EXPECT_GE(stats->frames_received, 5u);
+  const MetricSnapshot& rows = stats->metrics;
+  EXPECT_GE(rows.Count("service_requests"), 1u);  // the dispatched solve
+  EXPECT_GE(rows.Count("net_frames_received"), 5u);
   EXPECT_EQ(stats->protocol_errors, 0u);
-  EXPECT_EQ(stats->connections_active, 1u);
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].name, "alice");
-  EXPECT_EQ(stats->tenants[0].admitted, 2u);
-  EXPECT_EQ(stats->tenants[0].cache_hits, 2u);  // warm solve + lookup hit
-  EXPECT_EQ(stats->tenants[0].dispatched, 1u);
+  EXPECT_DOUBLE_EQ(rows.Gauge("net_conns_active"), 1.0);
+  const MetricLabels alice = {{"tenant", "alice"}};
+  EXPECT_NE(rows.Find("tenant_weight", alice), nullptr);
+  EXPECT_EQ(rows.Count("tenant_admitted", alice), 2u);
+  EXPECT_EQ(rows.Count("tenant_cache_hits", alice), 2u);  // solve + lookup
+  EXPECT_EQ(rows.Count("tenant_dispatched", alice), 1u);
+  EXPECT_EQ(rows.Count("tenant_admitted"), 2u);  // alice is the only one
+  EXPECT_DOUBLE_EQ(rows.Gauge("tenant_weight", alice), 1.0);
+  // Cache probes: the miss lookup, both solves' admission probes and the
+  // hit lookup; the warm solve and the second lookup hit.
+  EXPECT_EQ(rows.Count("service_lookups"), 4u);
+  EXPECT_EQ(rows.Count("service_lookup_hits"), 2u);
+  EXPECT_EQ(rows.Count("service_solves"), 1u);
+  EXPECT_GT(rows.Count("service_solver_nodes"), 0u);
+  EXPECT_GT(rows.Count("service_solve_wall_us"), 0u);
 
-  const ServerStats server_stats = ts.server.Stats();
-  EXPECT_EQ(server_stats.protocol_errors, 0u);
-  EXPECT_GE(server_stats.responses_sent, 6u);
+  const MetricSnapshot server_rows = ts.server.StatsSnapshot();
+  EXPECT_EQ(server_rows.Count("net_protocol_errors"), 0u);
+  EXPECT_GE(server_rows.Count("net_responses_sent"), 6u);
 }
 
 TEST(NetServer, DeadlineExceededRoundTripsTyped) {
@@ -580,7 +661,7 @@ TEST(NetServer, LateSolveIsCachedBeforeItsDeadlineErrorLeaves) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->solves, 1u);
-  EXPECT_EQ(stats->deadline_exceeded, 1u);
+  EXPECT_EQ(stats->metrics.Count("service_deadline_exceeded"), 1u);
 }
 
 TEST(NetServer, CoalescedSolveDoesNotHoldADispatcher) {
@@ -653,9 +734,9 @@ TEST(NetServer, ServedSolvesRunOnDispatcherThreads) {
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->type, MsgType::kSolveOk);
   }
-  const service::ServiceStats stats = ts.service.Stats();
-  EXPECT_EQ(stats.solves, 2u);
-  EXPECT_EQ(stats.coalesced, 1u);
+  const MetricSnapshot stats = ts.service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_solves"), 2u);
+  EXPECT_EQ(stats.Count("service_coalesced"), 1u);
   EXPECT_EQ(ProcessThreads() - before, 3);
 }
 
@@ -678,9 +759,8 @@ TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
   for (int i = 0; i < 200 && !parked_visible; ++i) {
     auto stats = stats_client.Stats();
     ASSERT_TRUE(stats.ok());
-    for (const auto& t : stats->tenants) {
-      parked_visible |= (t.name == "bob" && t.queued == 1);
-    }
+    parked_visible =
+        stats->metrics.Gauge("tenant_queued", {{"tenant", "bob"}}) == 1.0;
     if (!parked_visible) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -705,15 +785,19 @@ TEST(NetServer, PerTenantQueueFullRoundTripsTyped) {
   for (int i = 0; i < 200 && !carol_parked; ++i) {
     auto stats = stats_client.Stats();
     ASSERT_TRUE(stats.ok());
-    for (const auto& t : stats->tenants) {
-      carol_parked |= (t.name == "carol" && t.queued == 1);
-    }
+    carol_parked =
+        stats->metrics.Gauge("tenant_queued", {{"tenant", "carol"}}) == 1.0;
     if (!carol_parked) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
   EXPECT_TRUE(carol_parked);
-  EXPECT_EQ(ts.server.Stats().protocol_errors, 0u);
+  auto stats = stats_client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->protocol_errors, 0u);
+  EXPECT_EQ(stats->metrics.Count("tenant_rejected_queue_full",
+                                 {{"tenant", "bob"}}),
+            1u);
 }
 
 TEST(NetServer, AdmissionRejectionRoundTripsTyped) {
@@ -734,8 +818,9 @@ TEST(NetServer, AdmissionRejectionRoundTripsTyped) {
 
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].rejected_rate_limited, 1u);
+  EXPECT_EQ(stats->metrics.Count("tenant_rejected_rate_limited",
+                                 {{"tenant", "dave"}}),
+            1u);
 }
 
 /// Inflates the recorded minimal latency of every entry in a saved
@@ -797,7 +882,8 @@ TEST(NetServer, CorruptArtifactRoundTripsTyped) {
         << result.status().ToString();
     auto stats = client.Stats();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->corrupt_rejected, 1u);
+    EXPECT_EQ(stats->metrics.Count("service_corrupt_rejected"), 1u);
+    EXPECT_EQ(stats->metrics.Count("cache_invalidations"), 1u);
   }
   std::remove(path.c_str());
 }
@@ -827,6 +913,18 @@ TEST(NetServer, UnknownTenantRoundTripsTyped) {
   auto miss = client.Lookup(lookup);
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
   EXPECT_FALSE(miss->found);
+
+  // Bad text is checked before the tenant, for LOOKUP as for SOLVE: an
+  // unknown tenant with bad text is MALFORMED.
+  lookup.tenant = "ghost";
+  lookup.problem_text = "this is not a problem\n";
+  auto malformed = client.Lookup(lookup);
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
+  auto malformed_solve = client.Solve(
+      {.tenant = "ghost", .problem_text = "this is not a problem\n"});
+  ASSERT_FALSE(malformed_solve.ok());
+  EXPECT_EQ(malformed_solve.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(NetServer, BadProblemTextIsMalformedButConnectionSurvives) {
@@ -874,7 +972,7 @@ TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
     ASSERT_FALSE(closed.ok());
     EXPECT_EQ(closed.status().code(), StatusCode::kCancelled);
   }
-  EXPECT_EQ(ts.server.Stats().protocol_errors, 6u);
+  EXPECT_EQ(ts.server.StatsSnapshot().Count("net_protocol_errors"), 6u);
 }
 
 TEST(NetServer, V1ClientIsRefusedAndV2ClientIsServed) {
@@ -910,7 +1008,7 @@ TEST(NetServer, V1ClientIsRefusedAndV2ClientIsServed) {
   auto stats = v2.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->protocol_errors, 1u);
-  EXPECT_EQ(stats->requests, 1u);
+  EXPECT_EQ(stats->metrics.Count("service_requests"), 1u);
 }
 
 TEST(NetServer, UnknownTypeAndNonEmptyHealthBodyAreRejected) {
@@ -953,8 +1051,9 @@ TEST(NetServer, PartialWritesReassembleIntoOneRequest) {
   auto reply = client.ReadFrame();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, MsgType::kSolveOk);
-  EXPECT_EQ(ts.server.Stats().frames_received, 1u);
-  EXPECT_EQ(ts.server.Stats().protocol_errors, 0u);
+  const MetricSnapshot server_rows = ts.server.StatsSnapshot();
+  EXPECT_EQ(server_rows.Count("net_frames_received"), 1u);
+  EXPECT_EQ(server_rows.Count("net_protocol_errors"), 0u);
 }
 
 TEST(NetServer, IdleConnectionsAreReaped) {
@@ -970,7 +1069,31 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   auto frame = idle.ReadFrame();
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(ts.server.Stats().idle_closed, 1u);
+  AsyncClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port()).ok());
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->metrics.Count("net_conns_idle_closed"), 1u);
+}
+
+TEST(NetServer, ConnectionsBeyondTheCapAreClosedAndCounted) {
+  ServerOptions options = TestServer::FastDrain();
+  options.max_connections = 1;
+  TestServer ts(Workers(0), Dispatchers(0), std::move(options));
+  AsyncClient first;
+  ASSERT_TRUE(ts.StartAndConnect(&first).ok());
+  ASSERT_TRUE(first.Health().ok());  // adopted: one connection is open
+
+  RawConn refused;
+  ASSERT_TRUE(refused.Connect("127.0.0.1", ts.server.port()).ok());
+  auto frame = refused.ReadFrame();
+  ASSERT_FALSE(frame.ok());  // closed without a frame
+  EXPECT_EQ(frame.status().code(), StatusCode::kCancelled);
+
+  auto stats = first.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->metrics.Count("net_conns_overload_closed"), 1u);
+  EXPECT_EQ(stats->metrics.Count("net_conns_accepted"), 1u);
 }
 
 // Regression: signals without SA_RESTART landing mid-syscall must not
@@ -1059,12 +1182,14 @@ TEST(NetServer, DrainFlushesResponsesBufferedBehindSlowReader) {
   }
   // Every request processed and its response queued (most still buffered
   // server-side: nobody is reading yet).
-  for (int i = 0;
-       i < 1000 && ts.server.Stats().responses_sent < kRequests; ++i) {
+  auto count = [&](std::string_view name) {
+    return ts.server.StatsSnapshot().Count(name);
+  };
+  for (int i = 0; i < 1000 && count("net_responses_sent") < kRequests; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(ts.server.Stats().frames_received, kRequests);
-  ASSERT_EQ(ts.server.Stats().responses_sent, kRequests);
+  ASSERT_EQ(count("net_frames_received"), kRequests);
+  ASSERT_EQ(count("net_responses_sent"), kRequests);
 
   // Drain begins with a full out-queue; only then start reading, slowly.
   std::thread stopper([&] { ts.server.Stop(); });
@@ -1128,10 +1253,14 @@ TEST(AsyncClientTest, BlockingVerbsRoundTripOverV2) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->protocol_errors, 0u);
-  ASSERT_GE(stats->loops.size(), 1u);  // per-loop roll-up present
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_GE(stats->tenants[0].p999_latency_us,
-            stats->tenants[0].p99_latency_us);
+  // per-loop roll-up present
+  ASSERT_NE(stats->metrics.Find("net_frames_received", {{"loop", "0"}}),
+            nullptr);
+  const MetricRow* latency =
+      stats->metrics.Find("tenant_latency_us", {{"tenant", "alice"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2u);  // the cold and the warm solve
+  EXPECT_GE(latency->p999, latency->p99);
   EXPECT_EQ(client.InFlight(), 0u);
 }
 
@@ -1264,25 +1393,77 @@ TEST(NetMultiLoop, RoundRobinSpreadsConnectionsAndStatsRollUp) {
     clients.push_back(std::move(client));
   }
 
-  const std::vector<ServerStats> per_loop = ts.server.PerLoopStats();
-  ASSERT_EQ(per_loop.size(), 4u);
-  for (std::size_t i = 0; i < per_loop.size(); ++i) {
-    EXPECT_EQ(per_loop[i].accepted, 2u) << "loop " << i;
-    EXPECT_EQ(per_loop[i].active, 2u) << "loop " << i;
-    EXPECT_GE(per_loop[i].frames_received, 2u) << "loop " << i;
+  const MetricSnapshot rows = ts.server.StatsSnapshot();
+  for (int i = 0; i < 4; ++i) {
+    const MetricLabels loop = {{"loop", std::to_string(i)}};
+    EXPECT_EQ(rows.Count("net_conns_accepted", loop), 2u) << "loop " << i;
+    EXPECT_DOUBLE_EQ(rows.Gauge("net_conns_active", loop), 2.0)
+        << "loop " << i;
+    EXPECT_GE(rows.Count("net_frames_received", loop), 2u) << "loop " << i;
   }
-  const ServerStats total = ts.server.Stats();
-  EXPECT_EQ(total.accepted, 8u);
-  EXPECT_EQ(total.active, 8u);
+  EXPECT_EQ(rows.Find("net_conns_accepted", {{"loop", "4"}}), nullptr);
+  EXPECT_EQ(rows.Count("net_conns_accepted"), 8u);
+  EXPECT_DOUBLE_EQ(rows.Gauge("net_conns_active"), 8.0);
 
   // The same roll-up is visible over the wire.
   auto stats = clients[0]->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats->loops.size(), 4u);
-  std::uint64_t conns = 0;
-  for (const auto& loop : stats->loops) conns += loop.connections_active;
-  EXPECT_EQ(conns, 8u);
-  EXPECT_EQ(stats->connections_active, 8u);
+  EXPECT_DOUBLE_EQ(stats->metrics.Gauge("net_conns_active"), 8.0);
+  EXPECT_DOUBLE_EQ(
+      stats->metrics.Gauge("net_conns_active", {{"loop", "3"}}), 2.0);
+}
+
+TEST(NetServer, FreshServerRowsMatchTheCatalogue) {
+  // Every row a fresh server reports with one tenant and two loops, with
+  // its labels, in order. A metric added, renamed or dropped fails here
+  // until this list and the catalogue in docs/net.md follow.
+  ServerOptions server_options = TestServer::FastDrain();
+  server_options.loop_threads = 2;
+  TestServer ts(Workers(0), Dispatchers(0), std::move(server_options));
+  ASSERT_TRUE(ts.tenants.RegisterTenant({.name = "solo"}).ok());
+  AsyncClient client;
+  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+  std::vector<std::string> got;
+  for (const MetricRow& row : stats->metrics.rows) {
+    std::string entry = row.name;
+    for (const auto& [key, value] : row.labels) {
+      entry += " " + key + "=" + value;
+    }
+    got.push_back(entry);
+    EXPECT_FALSE(row.help.empty()) << row.name;
+  }
+  std::vector<std::string> want = {
+      "service_requests", "service_cache_hits", "service_lookups",
+      "service_lookup_hits", "service_coalesced", "service_solves",
+      "service_solve_failures", "service_deadline_exceeded",
+      "service_queue_rejected", "service_cancelled",
+      "service_corrupt_rejected", "service_degraded",
+      "service_watchdog_cancellations", "service_snapshot_io_errors",
+      "service_solve_wall_us", "service_solver_nodes",
+      "service_solver_budget_exhausted", "cache_entries", "cache_hits",
+      "cache_misses", "cache_insertions", "cache_evictions",
+      "cache_invalidations", "tenant_admitted tenant=solo",
+      "tenant_rejected_rate_limited tenant=solo",
+      "tenant_rejected_queue_full tenant=solo", "tenant_cache_hits tenant=solo",
+      "tenant_dispatched tenant=solo", "tenant_completed tenant=solo",
+      "tenant_failed tenant=solo", "tenant_cancelled tenant=solo",
+      "tenant_expired_in_queue tenant=solo", "tenant_latency_us tenant=solo",
+      "tenant_weight tenant=solo", "tenant_queued tenant=solo"};
+  for (const char* loop : {"loop=0", "loop=1"}) {
+    for (const char* name :
+         {"net_conns_accepted", "net_conns_active", "net_conns_idle_closed",
+          "net_conns_overload_closed", "net_frames_received",
+          "net_responses_sent", "net_protocol_errors", "net_shed_overload"}) {
+      want.push_back(std::string(name) + " " + loop);
+    }
+  }
+  want.push_back("net_solves_in_flight");
+  want.push_back("net_uptime_s");
+  EXPECT_EQ(got, want);
+  EXPECT_GT(stats->metrics.Gauge("net_uptime_s"), 0.0);
 }
 
 TEST(NetMultiLoop, StopDrainsEveryLoop) {
@@ -1298,10 +1479,12 @@ TEST(NetMultiLoop, StopDrainsEveryLoop) {
     ASSERT_TRUE(client->Health().ok());
     clients.push_back(std::move(client));
   }
-  EXPECT_EQ(ts.server.Stats().active, 6u);
+  EXPECT_DOUBLE_EQ(ts.server.StatsSnapshot().Gauge("net_conns_active"),
+                   6.0);
   ts.server.Stop();
   EXPECT_TRUE(ts.server.draining());
-  EXPECT_EQ(ts.server.Stats().active, 0u);
+  EXPECT_DOUBLE_EQ(ts.server.StatsSnapshot().Gauge("net_conns_active"),
+                   0.0);
 }
 
 TEST(NetServer, DrainRefusesNewSolvesAndReportsDraining) {

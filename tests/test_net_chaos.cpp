@@ -107,7 +107,9 @@ tenant::TenantSchedulerOptions Dispatchers(int n) {
 /// Polls until the server reports no active connections (fds all reaped).
 bool DrainsToZeroConnections(const Server& server) {
   for (int i = 0; i < 400; ++i) {
-    if (server.Stats().active == 0) return true;
+    if (server.StatsSnapshot().Gauge("net_conns_active") == 0.0) {
+      return true;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return false;
@@ -350,10 +352,13 @@ TEST(ChaosProxy, SlowlorisStallIsReapedByReadProgressIdleEnforcement) {
   EXPECT_TRUE(solve.status().code() == StatusCode::kCancelled ||
               solve.status().code() == StatusCode::kDeadlineExceeded)
       << solve.status().ToString();
-  for (int i = 0; i < 200 && ts.server.Stats().idle_closed == 0; ++i) {
+  auto idle_closed = [&] {
+    return ts.server.StatsSnapshot().Count("net_conns_idle_closed");
+  };
+  for (int i = 0; i < 200 && idle_closed() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GE(ts.server.Stats().idle_closed, 1u);
+  EXPECT_GE(idle_closed(), 1u);
   EXPECT_EQ(proxy.Stats().stalls, 1u);
   proxy.Stop();
   EXPECT_TRUE(DrainsToZeroConnections(ts.server));
@@ -380,9 +385,8 @@ TEST(NetChaos, OverloadShedsWithTypedErrorAndCounter) {
   for (int i = 0; i < 200 && !both_parked; ++i) {
     auto stats = stats_client.Stats();
     ASSERT_TRUE(stats.ok());
-    for (const auto& t : stats->tenants) {
-      both_parked |= (t.name == "alice" && t.queued == 2);
-    }
+    both_parked =
+        stats->metrics.Gauge("tenant_queued", {{"tenant", "alice"}}) == 2.0;
     if (!both_parked) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -403,8 +407,9 @@ TEST(NetChaos, OverloadShedsWithTypedErrorAndCounter) {
   ASSERT_TRUE(health.ok());
   auto stats = stats_client.Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->shed_overload, 1u);
-  EXPECT_EQ(ts.server.Stats().shed_overload, 1u);
+  EXPECT_EQ(stats->metrics.Count("net_shed_overload"), 1u);
+  EXPECT_DOUBLE_EQ(stats->metrics.Gauge("net_solves_in_flight"), 2.0);
+  EXPECT_EQ(ts.server.StatsSnapshot().Count("net_shed_overload"), 1u);
 }
 
 TEST(NetChaos, PerConnectionInflightCapSheds) {
@@ -429,7 +434,7 @@ TEST(NetChaos, PerConnectionInflightCapSheds) {
   ErrorResponseMsg err;
   ASSERT_TRUE(Decode(frame->body.data(), frame->body.size(), &err).ok());
   EXPECT_EQ(err.code, WireError::kOverloaded);
-  EXPECT_EQ(ts.server.Stats().shed_overload, 1u);
+  EXPECT_EQ(ts.server.StatsSnapshot().Count("net_shed_overload"), 1u);
 }
 
 // ---- Decoder fuzz through the chaos transport ----------------------------
@@ -548,7 +553,7 @@ TEST(NetChaos, SixtyFourSeedSoak) {
   EXPECT_EQ(health->state, "ok");
   auto stats = direct.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->requests, 1u);
+  EXPECT_GE(stats->metrics.Count("service_requests"), 1u);
 }
 
 // ---- Pipelined v2 through the chaos transport ----------------------------

@@ -30,6 +30,11 @@
 namespace ss::service {
 namespace {
 
+/// One counter of the service's registry, by row name.
+std::uint64_t Counted(const ScheduleService& service, std::string_view name) {
+  return service.metrics().Snapshot().Count(name);
+}
+
 ServiceOptions Opts(int workers, std::size_t queue_capacity = 64,
                     std::string snapshot_path = {}) {
   ServiceOptions options;
@@ -199,10 +204,10 @@ TEST(ScheduleServiceTest, CacheHitReturnsScheduleIdenticalToFreshSolve) {
             direct->best.iteration.CanonicalKey());
   EXPECT_GT((*first)->stats.nodes_explored, 0u);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.solves, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_requests"), 2u);
+  EXPECT_EQ(stats.Count("service_solves"), 1u);
+  EXPECT_EQ(stats.Count("service_cache_hits"), 1u);
 }
 
 TEST(ScheduleServiceTest, BudgetExhaustedSolveIsHeuristicAndCached) {
@@ -222,10 +227,11 @@ TEST(ScheduleServiceTest, BudgetExhaustedSolveIsHeuristicAndCached) {
   auto second = service.Solve(request);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(first->get(), second->get());
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.solves, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.degraded, 0u);
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_solves"), 1u);
+  EXPECT_EQ(stats.Count("service_cache_hits"), 1u);
+  EXPECT_EQ(stats.Count("service_degraded"), 0u);
+  EXPECT_EQ(stats.Count("service_solver_budget_exhausted"), 1u);
 }
 
 /// SolveOnCaller, waited for: the callback runs on this thread, or on the
@@ -276,15 +282,17 @@ TEST(ScheduleServiceTest, SingleFlightUnderConcurrentMixedLoad) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.requests,
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_requests"),
             static_cast<std::uint64_t>(kThreads * kRequestsPerThread));
-  EXPECT_EQ(stats.solves, static_cast<std::uint64_t>(kProblems));
-  EXPECT_EQ(stats.cache_hits + stats.coalesced,
-            static_cast<std::uint64_t>(kThreads * kRequestsPerThread -
-                                       kProblems));
-  EXPECT_EQ(stats.solve_failures, 0u);
-  EXPECT_EQ(stats.cache.entries, static_cast<std::size_t>(kProblems));
+  EXPECT_EQ(stats.Count("service_solves"),
+            static_cast<std::uint64_t>(kProblems));
+  EXPECT_EQ(
+      stats.Count("service_cache_hits") + stats.Count("service_coalesced"),
+      static_cast<std::uint64_t>(kThreads * kRequestsPerThread - kProblems));
+  EXPECT_EQ(stats.Count("service_solve_failures"), 0u);
+  EXPECT_DOUBLE_EQ(stats.Gauge("cache_entries"),
+                   static_cast<double>(kProblems));
 }
 
 TEST(ScheduleServiceTest, SolveOnCallerNeedsNoPoolAndCompletesOnce) {
@@ -302,7 +310,7 @@ TEST(ScheduleServiceTest, SolveOnCallerNeedsNoPoolAndCompletesOnce) {
   });
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_EQ(service.Stats().solves, 1u);
+  EXPECT_EQ(Counted(service, "service_solves"), 1u);
   EXPECT_NE(service.cache().Lookup(ScheduleService::RequestKey(request)),
             nullptr);
 
@@ -316,7 +324,7 @@ TEST(ScheduleServiceTest, SolveOnCallerNeedsNoPoolAndCompletesOnce) {
   });
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(code, StatusCode::kCancelled);
-  EXPECT_EQ(service.Stats().solves, 1u);
+  EXPECT_EQ(Counted(service, "service_solves"), 1u);
 }
 
 TEST(ScheduleServiceTest, ShutdownWaitsForSolvesOnCallerThreads) {
@@ -343,7 +351,7 @@ TEST(ScheduleServiceTest, ShutdownWaitsForSolvesOnCallerThreads) {
         answered = true;
       });
     });
-    while (service.Stats().solves == 0) {
+    while (Counted(service, "service_solves") == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     service.Shutdown();
@@ -365,8 +373,8 @@ TEST(ScheduleServiceTest, ExpiredDeadlineIsATypedError) {
   auto result = submitted->get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
-  EXPECT_EQ(service.Stats().solves, 0u);
+  EXPECT_EQ(Counted(service, "service_deadline_exceeded"), 1u);
+  EXPECT_EQ(Counted(service, "service_solves"), 0u);
 }
 
 TEST(ScheduleServiceTest, SyncSolveHonorsDeadlineWhilePaused) {
@@ -406,10 +414,10 @@ TEST(ScheduleServiceTest, QueueFullIsATypedErrorAndShutdownCancels) {
   EXPECT_EQ(f1->get().status().code(), StatusCode::kCancelled);
   EXPECT_EQ(dup->get().status().code(), StatusCode::kCancelled);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queue_rejected, 1u);
-  EXPECT_EQ(stats.coalesced, 1u);
-  EXPECT_EQ(stats.cancelled, 2u);
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_queue_rejected"), 1u);
+  EXPECT_EQ(stats.Count("service_coalesced"), 1u);
+  EXPECT_EQ(stats.Count("service_cancelled"), 2u);
 
   auto after = service.SubmitAsync(r0);
   ASSERT_FALSE(after.ok());
@@ -424,7 +432,7 @@ TEST(ScheduleServiceTest, InvalidRegimeFailsTyped) {
   auto result = service.Solve(request);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.Stats().solve_failures, 1u);
+  EXPECT_EQ(Counted(service, "service_solve_failures"), 1u);
 }
 
 TEST(ScheduleServiceTest, SnapshotPersistenceWarmsARestart) {
@@ -451,9 +459,10 @@ TEST(ScheduleServiceTest, SnapshotPersistenceWarmsARestart) {
     auto result = service.Solve(request);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ((*result)->schedule.iteration.CanonicalKey(), canonical_key);
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.solves, 0u) << "warm restart must not re-solve";
-    EXPECT_EQ(stats.cache_hits, 1u);
+    const MetricSnapshot stats = service.metrics().Snapshot();
+    EXPECT_EQ(stats.Count("service_solves"), 0u)
+        << "warm restart must not re-solve";
+    EXPECT_EQ(stats.Count("service_cache_hits"), 1u);
   }
   std::remove(path.c_str());
 }
@@ -542,7 +551,7 @@ TEST(ScheduleCacheTest, LoadRejectsStructurallyCorruptSnapshot) {
   request.problem = MakeProblem(3);
   auto result = service.Solve(request);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(service.Stats().solves, 1u);
+  EXPECT_EQ(Counted(service, "service_solves"), 1u);
   service.Shutdown();
   std::remove(path.c_str());
 }
@@ -583,8 +592,8 @@ TEST(ScheduleServiceTest, ServeTimeVerificationRejectsSubtleCorruption) {
   auto rejected = service.Solve(request);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kCorruptArtifact);
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.corrupt_rejected, 1u);
+  MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("service_corrupt_rejected"), 1u);
   EXPECT_EQ(service.cache().Stats().invalidations, 1u);
   EXPECT_EQ(service.cache().size(), 0u) << "corrupt entry must be evicted";
 
@@ -592,7 +601,7 @@ TEST(ScheduleServiceTest, ServeTimeVerificationRejectsSubtleCorruption) {
   auto resolved = service.Solve(request);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ((*resolved)->min_latency, honest_latency);
-  EXPECT_EQ(service.Stats().solves, 1u);
+  EXPECT_EQ(Counted(service, "service_solves"), 1u);
   service.Shutdown();
   std::remove(path.c_str());
 }
@@ -617,18 +626,44 @@ TEST(TableBuilderTest, ParallelTableMatchesSerialPrecompute) {
     EXPECT_EQ(parallel->Get(r).op_graph->op_count(),
               serial->Get(r).op_graph->op_count());
   }
-  EXPECT_EQ(service.Stats().solves, space.size());
+  EXPECT_EQ(Counted(service, "service_solves"), space.size());
 }
 
-TEST(ServiceStatsTest, RendersATable) {
+TEST(ScheduleServiceTest, CacheRowsReportTheCacheCounters) {
+  ServiceOptions options = Opts(1);
+  options.cache_capacity = 1;
+  options.cache_shards = 1;
+  ScheduleService service(options);
+  for (int salt = 0; salt < 2; ++salt) {
+    SolveRequest request;
+    request.problem = MakeProblem(salt);
+    ASSERT_TRUE(service.Solve(request).ok());
+  }
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  const CacheStats cache = service.cache().Stats();
+  EXPECT_EQ(stats.Count("cache_insertions"), 2u);
+  EXPECT_EQ(stats.Count("cache_evictions"), 1u);
+  EXPECT_DOUBLE_EQ(stats.Gauge("cache_entries"), 1.0);
+  EXPECT_EQ(stats.Count("cache_evictions"), cache.evictions);
+  EXPECT_EQ(stats.Count("cache_misses"), cache.misses);
+}
+
+TEST(ScheduleServiceTest, MetricsRenderAsATable) {
   ScheduleService service(Opts(1));
   SolveRequest request;
   request.problem = MakeProblem(0);
   ASSERT_TRUE(service.Solve(request).ok());
-  const std::string table = service.Stats().ToTable();
+  ASSERT_TRUE(service.Solve(request).ok());
+  const MetricSnapshot stats = service.metrics().Snapshot();
+  EXPECT_GT(stats.Count("service_solver_nodes"), 0u);
+  EXPECT_EQ(stats.Count("service_solver_budget_exhausted"), 0u);
+  EXPECT_EQ(stats.Count("cache_insertions"), 1u);
+  EXPECT_EQ(stats.Count("cache_hits"), 1u);
+  EXPECT_EQ(stats.Count("cache_misses"), 2u);  // the submit and the job's
+  const std::string table = stats.ToTable();
   EXPECT_NE(table.find("requests"), std::string::npos);
   EXPECT_NE(table.find("solver invocations"), std::string::npos);
-  EXPECT_NE(table.find("hit rate"), std::string::npos);
+  EXPECT_NE(table.find("cache hits"), std::string::npos);
 }
 
 }  // namespace

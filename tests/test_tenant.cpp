@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/histogram.hpp"
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "graph/graph_io.hpp"
+#include "graph/synthetic.hpp"
 #include "service/schedule_service.hpp"
 #include "tenant/fair_queue.hpp"
 #include "tenant/tenant.hpp"
@@ -133,15 +137,27 @@ TEST(TenantRegistry, RegisterResolveAndTypedFailures) {
   EXPECT_EQ(registry.Register(a).status().code(),
             StatusCode::kAlreadyExists);
 
-  auto b = registry.Resolve("b");  // auto-registers
+  bool created = false;
+  auto b = registry.Resolve("b", &created);  // auto-registers
   ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(created);
   EXPECT_EQ((*b)->index, 1);
+  ASSERT_TRUE(registry.Resolve("b", &created).ok());
+  EXPECT_FALSE(created);
 
   TenantConfig c;
   c.name = "c";
   EXPECT_EQ(registry.Register(c).status().code(),
             StatusCode::kFailedPrecondition);  // registry full
   EXPECT_EQ(registry.size(), 2u);
+
+  // Rows exist for registered tenants only: a refused one leaves none.
+  (*b)->admitted.Inc();
+  const MetricSnapshot snap = registry.metrics().Snapshot();
+  EXPECT_EQ(snap.Count("tenant_admitted"), 1u);
+  EXPECT_EQ(snap.Count("tenant_admitted", {{"tenant", "b"}}), 1u);
+  EXPECT_NE(snap.Find("tenant_weight", {{"tenant", "a"}}), nullptr);
+  EXPECT_EQ(snap.Find("tenant_weight", {{"tenant", "c"}}), nullptr);
 }
 
 TEST(TenantRegistry, ClosedRegistryRejectsUnknown) {
@@ -168,7 +184,6 @@ TEST(FairScheduler, QueueFullIsTyped) {
   EXPECT_EQ(fair.Submit(lane, [](FairOutcome) {}).code(),
             StatusCode::kWouldBlock);
   EXPECT_EQ(fair.QueuedFor(lane), 2u);
-  EXPECT_EQ(fair.Stats().rejected_full, 1u);
 }
 
 TEST(FairScheduler, ShutdownCancelsQueuedJobs) {
@@ -206,9 +221,6 @@ TEST(FairScheduler, ExpiredFrontDrainsWithoutChargingDeficit) {
   EXPECT_TRUE(fair.DispatchOne());
   EXPECT_EQ(expired, 1);
   EXPECT_EQ(dispatched, 1);
-  const auto stats = fair.Stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.dispatched, 1u);
   EXPECT_EQ(fair.QueuedFor(lane), 0u);
   fair.Shutdown();
 }
@@ -230,8 +242,6 @@ TEST(FairScheduler, FullyExpiredLaneDrainsWithoutDispatch) {
   // expired jobs (exactly once each).
   EXPECT_FALSE(fair.DispatchOne());
   EXPECT_EQ(expired, 3);
-  EXPECT_EQ(fair.Stats().expired, 3u);
-  EXPECT_EQ(fair.Stats().dispatched, 0u);
   EXPECT_EQ(fair.QueuedFor(lane), 0u);
   fair.Shutdown();
 }
@@ -248,7 +258,6 @@ TEST(FairScheduler, FutureDeadlineIsDispatchedNormally) {
                   .ok());
   EXPECT_TRUE(fair.DispatchOne());
   EXPECT_EQ(dispatched, 1);
-  EXPECT_EQ(fair.Stats().expired, 0u);
   fair.Shutdown();
 }
 
@@ -373,13 +382,14 @@ TEST(TenantScheduler, SolvesAndServesCacheHitsInline) {
   EXPECT_TRUE(invoked);  // inline, no dispatch round-trip
   EXPECT_TRUE(second_hit);
 
-  const auto stats = tenants.Stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].name, "alice");
-  EXPECT_EQ(stats[0].admitted, 2u);
-  EXPECT_EQ(stats[0].dispatched, 1u);
-  EXPECT_EQ(stats[0].cache_hits, 1u);
-  EXPECT_EQ(stats[0].completed, 2u);
+  const MetricSnapshot stats = tenants.metrics().Snapshot();
+  const MetricLabels alice = {{"tenant", "alice"}};
+  EXPECT_EQ(stats.Count("tenant_admitted", alice), 2u);
+  EXPECT_EQ(stats.Count("tenant_dispatched", alice), 1u);
+  EXPECT_EQ(stats.Count("tenant_cache_hits", alice), 1u);
+  EXPECT_EQ(stats.Count("tenant_completed", alice), 2u);
+  EXPECT_EQ(stats.Count("tenant_latency_us", alice), 2u);
+  EXPECT_EQ(stats.Count("tenant_admitted"), 2u);  // alice is the only one
   tenants.Shutdown();
 }
 
@@ -401,7 +411,9 @@ TEST(TenantScheduler, AdmissionRejectionIsTypedAndSkipsCallback) {
       [&](Expected<service::SolveResult>, bool) { invoked = true; });
   EXPECT_EQ(second.code(), StatusCode::kAdmissionRejected);
   EXPECT_FALSE(invoked);
-  EXPECT_EQ(tenants.Stats()[0].rejected_rate_limited, 1u);
+  EXPECT_EQ(tenants.metrics().Snapshot().Count(
+                "tenant_rejected_rate_limited", {{"tenant", "bob"}}),
+            1u);
   tenants.Shutdown();
 }
 
@@ -420,7 +432,9 @@ TEST(TenantScheduler, PerTenantQueueFullIsTyped) {
       "carol", RequestFor(SmallProblem(5)),
       [](Expected<service::SolveResult>, bool) {});
   EXPECT_EQ(second.code(), StatusCode::kWouldBlock);
-  EXPECT_EQ(tenants.Stats()[0].rejected_queue_full, 1u);
+  EXPECT_EQ(tenants.metrics().Snapshot().Count(
+                "tenant_rejected_queue_full", {{"tenant", "carol"}}),
+            1u);
 
   // Another tenant's lane is unaffected (per-tenant backpressure).
   EXPECT_TRUE(tenants
@@ -450,10 +464,11 @@ TEST(TenantScheduler, QueuedPastDeadlineExpiresTyped) {
                   .ok());
   EXPECT_EQ(done.get_future().get().code(), StatusCode::kDeadlineExceeded);
   tenants.Shutdown();
-  const auto stats = tenants.Stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].expired_in_queue, 1u);
-  EXPECT_EQ(tenants.QueueStats().expired, 1u);
+  const MetricSnapshot stats = tenants.metrics().Snapshot();
+  EXPECT_EQ(stats.Count("tenant_expired_in_queue", {{"tenant", "erin"}}),
+            1u);
+  EXPECT_EQ(stats.Count("tenant_failed", {{"tenant", "erin"}}), 1u);
+  EXPECT_EQ(stats.Count("tenant_dispatched"), 0u);
 }
 
 TEST(TenantScheduler, UnknownTenantWhenRegistryClosed) {
@@ -465,7 +480,13 @@ TEST(TenantScheduler, UnknownTenantWhenRegistryClosed) {
       "ghost", RequestFor(SmallProblem(7)),
       [](Expected<service::SolveResult>, bool) {});
   EXPECT_EQ(submit.code(), StatusCode::kNotFound);
-  EXPECT_EQ(tenants.TouchTenant("ghost").code(), StatusCode::kNotFound);
+  // A lookup's kNotFound for an unknown tenant is not a cache miss.
+  bool miss = true;
+  EXPECT_EQ(tenants.Lookup("ghost", RequestFor(SmallProblem(7)), &miss)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(miss);
   tenants.Shutdown();
 }
 
@@ -484,7 +505,50 @@ TEST(TenantScheduler, ShutdownCancelsQueuedWork) {
                   .ok());
   tenants.Shutdown();
   EXPECT_EQ(cancelled_status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(tenants.Stats()[0].cancelled, 1u);
+  EXPECT_EQ(tenants.metrics().Snapshot().Count("tenant_cancelled",
+                                                {{"tenant", "erin"}}),
+            1u);
+}
+
+TEST(TenantScheduler, CompletionAfterTheFrontEndIsGoneIsSafe) {
+  // A tenant request that joins a solve running on the service's own pool
+  // is completed by that pool thread, here after the front end that
+  // admitted it was destroyed: the tenant's counters must still be alive.
+  service::ServiceOptions service_options;
+  service_options.workers = 1;
+  service_options.solver_watchdog = ticks::FromMillis(300);
+  service::ScheduleService service(service_options);
+  Rng rng(7);
+  graph::SyntheticProblem dag = graph::MakeForkJoin(rng, 5);
+  auto spec = std::make_shared<graph::ProblemSpec>();
+  spec->graph = dag.graph;
+  spec->costs = dag.costs;
+  spec->machine = graph::MachineConfig::SingleNode(2);
+  spec->comm = graph::CommModel::Free();
+  spec->regime_count = 1;
+  auto pooled = service.SubmitAsync(RequestFor(spec));  // ends at 300 ms
+  ASSERT_TRUE(pooled.ok());
+
+  std::promise<bool> done;
+  {
+    TenantSchedulerOptions options;
+    options.dispatch_threads = 1;
+    TenantScheduler tenants(&service, options);
+    ASSERT_TRUE(tenants
+                    .SubmitSolve("late", RequestFor(spec),
+                                 [&](Expected<service::SolveResult> result,
+                                     bool) { done.set_value(result.ok()); })
+                    .ok());
+    for (int i = 0; i < 200 && service.metrics().Snapshot().Count(
+                                    "service_coalesced") == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.metrics().Snapshot().Count("service_coalesced"), 1u);
+    tenants.Shutdown();
+  }
+  EXPECT_TRUE(done.get_future().get());
+  EXPECT_TRUE(pooled->get().ok());
 }
 
 TEST(TenantScheduler, LookupNeverConsumesTokens) {

@@ -190,7 +190,7 @@ int ServeBench(graph::ProblemSpec spec, const std::string& snapshot_source,
               static_cast<unsigned long long>(total), seconds,
               seconds > 0 ? static_cast<double>(total) / seconds : 0.0,
               static_cast<unsigned long long>(failures.load()));
-  std::printf("%s", service.Stats().ToTable().c_str());
+  std::printf("%s", service.metrics().Snapshot().ToTable().c_str());
   if (!options.snapshot_path.empty()) {
     std::printf("\nwarm cache snapshot: %s\n",
                 options.snapshot_path.c_str());
@@ -388,18 +388,20 @@ int ServeCommand(const std::string& host, int port,
   server.Stop();
   tenants.Shutdown();
   service.Shutdown();  // also writes the snapshot, if configured
-  const net::ServerStats ns = server.Stats();
+  const MetricSnapshot metrics = server.StatsSnapshot();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(metrics.Count(name));
+  };
   std::printf("served %llu frame(s) over %llu connection(s), "
               "%llu protocol error(s)\n\n",
-              static_cast<unsigned long long>(ns.frames_received),
-              static_cast<unsigned long long>(ns.accepted),
-              static_cast<unsigned long long>(ns.protocol_errors));
-  std::printf("%s", service.Stats().ToTable().c_str());
+              count("net_frames_received"), count("net_conns_accepted"),
+              count("net_protocol_errors"));
+  std::printf("%s", metrics.ToTable().c_str());
   return 0;
 }
 
 /// `ssched stats <host:port>`: one stats request against a running server,
-/// rendered as the same table the server-side ToTable produces.
+/// rendered as the same table `ssched --serve` prints when it exits.
 int StatsCommand(int argc, char** argv) {
   if (argc != 2) {
     std::fprintf(stderr, "error: stats needs a server address, e.g. "
@@ -425,7 +427,7 @@ int StatsCommand(int argc, char** argv) {
                  stats.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", stats->ToTable().c_str());
+  std::printf("%s", stats->metrics.ToTable().c_str());
   return 0;
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for the bench_compare direction rules.
+"""Unit tests for bench_compare's direction handling.
 
 bench_compare has no .py extension (it is installed as a command), so the
 module is loaded by path with SourceFileLoader. Run directly or via ctest
@@ -21,10 +21,12 @@ _LOADER.exec_module(bench_compare)
 
 
 def _write(dirname: str, filename: str, records: dict) -> str:
+    """records maps a name to (median, better)."""
     path = os.path.join(dirname, filename)
     with open(path, "w") as f:
-        json.dump([{"name": n, "median_ms": v, "p95_ms": v}
-                   for n, v in records.items()], f)
+        json.dump([{"name": n, "median": v, "p95": v, "unit": "ms",
+                    "better": better}
+                   for n, (v, better) in records.items()], f)
     return path
 
 
@@ -36,53 +38,54 @@ class CompareTest(unittest.TestCase):
                 threshold)
 
     def test_timing_regression_is_flagged(self):
-        failed = self.compare({"optimal_medium_t4": 10.0},
-                              {"optimal_medium_t4": 20.0})
+        failed = self.compare({"optimal_medium_t4": (10.0, "lower")},
+                              {"optimal_medium_t4": (20.0, "lower")})
         self.assertEqual(failed, ["optimal_medium_t4"])
 
     def test_timing_improvement_passes(self):
         self.assertEqual(
-            self.compare({"optimal_medium_t4": 20.0},
-                         {"optimal_medium_t4": 10.0}), [])
+            self.compare({"optimal_medium_t4": (20.0, "lower")},
+                         {"optimal_medium_t4": (10.0, "lower")}), [])
 
     def test_speedup_gain_is_not_a_regression(self):
-        # Higher is better for _x records: doubling the speedup must pass.
+        # Higher is better for speedups: doubling one must pass.
         self.assertEqual(
-            self.compare({"optimal_medium_speedup_4t_x": 1.0},
-                         {"optimal_medium_speedup_4t_x": 2.0}), [])
+            self.compare({"optimal_medium_speedup_4t_x": (1.0, "higher")},
+                         {"optimal_medium_speedup_4t_x": (2.0, "higher")}), [])
 
     def test_speedup_drop_is_flagged(self):
-        failed = self.compare({"optimal_medium_speedup_4t_x": 2.0},
-                              {"optimal_medium_speedup_4t_x": 1.0})
+        failed = self.compare({"optimal_medium_speedup_4t_x": (2.0, "higher")},
+                              {"optimal_medium_speedup_4t_x": (1.0, "higher")})
         self.assertEqual(failed, ["optimal_medium_speedup_4t_x"])
 
-    def test_count_records_never_gate(self):
+    def test_informational_records_never_gate(self):
         # Counters drift whenever pruning improves; huge swings in either
         # direction are informational only.
         self.assertEqual(
-            self.compare({"optimal_large_steals_count": 1000.0,
-                          "optimal_large_nodes_pruned_memo_count": 5.0},
-                         {"optimal_large_steals_count": 1.0,
-                          "optimal_large_nodes_pruned_memo_count": 9999.0}),
+            self.compare({"optimal_large_steals_count": (1000.0, "none"),
+                          "optimal_large_memo_count": (5.0, "none")},
+                         {"optimal_large_steals_count": (1.0, "none"),
+                          "optimal_large_memo_count": (9999.0, "none")}),
             [])
 
     def test_unshared_records_are_ignored(self):
         self.assertEqual(
-            self.compare({"old_only_t1": 10.0}, {"new_only_t1": 10.0}), [])
+            self.compare({"old_only_t1": (10.0, "lower")},
+                         {"new_only_t1": (10.0, "lower")}), [])
 
     def test_within_threshold_passes(self):
         self.assertEqual(
-            self.compare({"optimal_small_t1": 10.0},
-                         {"optimal_small_t1": 12.0}), [])
+            self.compare({"optimal_small_t1": (10.0, "lower")},
+                         {"optimal_small_t1": (12.0, "lower")}), [])
 
-    def test_direction_helpers(self):
-        self.assertTrue(
-            bench_compare.higher_is_better("optimal_medium_speedup_4t_x"))
-        self.assertFalse(bench_compare.higher_is_better("optimal_medium_t4"))
-        self.assertTrue(
-            bench_compare.informational("optimal_large_steals_count"))
-        self.assertFalse(
-            bench_compare.informational("optimal_large_t8"))
+    def test_record_without_direction_is_refused(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "old.json")
+            with open(path, "w") as f:
+                json.dump([{"name": "optimal_small_t1", "median_ms": 1.0,
+                            "p95_ms": 1.0}], f)
+            with self.assertRaises(SystemExit):
+                bench_compare.load(path)
 
 
 if __name__ == "__main__":
