@@ -212,7 +212,6 @@ int Run(int argc, char** argv) {
     std::uint64_t steals = 0;
     std::uint64_t pruned_symmetry = 0;
     std::uint64_t pruned_dominance = 0;
-    std::uint64_t pruned_memo = 0;
     for (int threads : kThreadCounts) {
       sched::OptimalOptions opts;
       opts.solver_threads = threads;
@@ -223,7 +222,6 @@ int Run(int argc, char** argv) {
         steals = result->steals;
         pruned_symmetry = result->nodes_pruned_symmetry;
         pruned_dominance = result->nodes_pruned_dominance;
-        pruned_memo = result->nodes_pruned_memo;
       });
       if (threads == 1) serial_median = s.median;
       const double speedup =
@@ -247,13 +245,12 @@ int Run(int argc, char** argv) {
     }
     std::printf(
         "case %s (%zu ops, %llu nodes, %llu steals, pruned "
-        "sym=%llu dom=%llu memo=%llu):\n%s",
+        "sym=%llu dom=%llu):\n%s",
         c.name.c_str(), c.graph.task_count(),
         static_cast<unsigned long long>(nodes),
         static_cast<unsigned long long>(steals),
         static_cast<unsigned long long>(pruned_symmetry),
         static_cast<unsigned long long>(pruned_dominance),
-        static_cast<unsigned long long>(pruned_memo),
         table.Render().c_str());
     using Better = bench::JsonReport::Better;
     json.Add("optimal_" + c.name + "_speedup_4t_x", speedup_4t,
@@ -270,9 +267,6 @@ int Run(int argc, char** argv) {
     json.Add("optimal_" + c.name + "_nodes_pruned_dominance_count",
              static_cast<double>(pruned_dominance),
              static_cast<double>(pruned_dominance), "count", Better::kNone);
-    json.Add("optimal_" + c.name + "_nodes_pruned_memo_count",
-             static_cast<double>(pruned_memo),
-             static_cast<double>(pruned_memo), "count", Better::kNone);
   }
   RunColdMix(&json);
   bench::PrintNote(

@@ -32,13 +32,6 @@ constexpr std::size_t kDonateWatermark = 8;
 /// Per-worker deque capacity. The watermark keeps occupancy far below this,
 /// so Push can never fail under the donation discipline.
 constexpr std::size_t kDequeCapacity = 256;
-/// A worker enables the shared memo table only once it has personally
-/// charged this many nodes, so small solves never pay the table's
-/// allocation + zeroing cost. Memoization affects only search *speed*
-/// (phase A never reports schedules), so this timing-free threshold has no
-/// effect on results.
-constexpr std::int64_t kMemoActivationNodes = 8192;
-
 /// Process-wide pool backing every solve's runner tasks, sized to the
 /// hardware. Shared so concurrent solves (e.g. on schedule-service workers)
 /// reuse one bounded set of threads instead of each spawning and joining a
@@ -53,69 +46,8 @@ WorkerPool& SolverPool() {
   return pool;
 }
 
-std::uint64_t MixHash(std::uint64_t h, std::uint64_t v) {
-  h += 0x9e3779b97f4a7c15ULL + v;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
-/// Sharded lock-free memo table deduplicating equivalent partial-schedule
-/// states across workers. A state is stored as a 128-bit hash (`lo` picks
-/// the shard and slot, `hi` is the stored tag); `Claim` returns true for
-/// the first visitor and false for everyone after it. Slots are claimed by
-/// CAS and never updated, so the table needs no reclamation protocol; when
-/// a probe window is full the claim simply succeeds (no dedup — sound,
-/// just slower). False sharing is avoided by design: distinct states hash
-/// to uniformly random slots.
-///
-/// Soundness caveat, documented in docs/solver.md: two *distinct* states
-/// colliding on all 128 bits would wrongly prune one of them. With at most
-/// max_nodes (~2^25) states per solve the collision probability is below
-/// 2^-77, far beneath hardware error rates.
-class MemoTable {
- public:
-  explicit MemoTable(std::uint64_t max_nodes) {
-    std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max_nodes, std::uint64_t{1} << 20));
-    std::size_t per_shard = 1u << 10;
-    while (per_shard * kShards < want) per_shard <<= 1;
-    shard_mask_ = per_shard - 1;
-    for (auto& shard : shards_) {
-      shard = std::vector<std::atomic<std::uint64_t>>(per_shard);
-    }
-  }
-
-  bool Claim(std::uint64_t lo, std::uint64_t hi) {
-    if (hi == 0) hi = 1;  // 0 marks an empty slot
-    auto& shard = shards_[(lo >> 60) & (kShards - 1)];
-    const std::size_t base = static_cast<std::size_t>(lo);
-    for (std::size_t probe = 0; probe < kMaxProbes; ++probe) {
-      std::atomic<std::uint64_t>& slot = shard[(base + probe) & shard_mask_];
-      std::uint64_t cur = slot.load(std::memory_order_acquire);
-      if (cur == hi) return false;
-      if (cur == 0) {
-        if (slot.compare_exchange_strong(cur, hi,
-                                         std::memory_order_acq_rel)) {
-          return true;
-        }
-        if (cur == hi) return false;  // lost the race to the same state
-      }
-      // Different state in this slot: probe on.
-    }
-    return true;  // window full: skip dedup for this state
-  }
-
- private:
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kMaxProbes = 16;
-
-  std::vector<std::atomic<std::uint64_t>> shards_[kShards];
-  std::size_t shard_mask_ = 0;
-};
-
 /// State shared by every worker of one solver invocation: the global
-/// incumbent, the global node budget, and the lazily created memo table.
+/// incumbent and the global node budget.
 struct SearchShared {
   /// Best complete makespan found anywhere so far; only ever decreases.
   /// Fixed at the latency bound in throughput mode.
@@ -130,33 +62,12 @@ struct SearchShared {
   /// External cancellation request (OptimalOptions::cancel), or null.
   const std::atomic<bool>* cancel = nullptr;
   bool bound_mode = false;
-  /// Latency mode only: set (between phases, before the collection
-  /// engine's workers start) when `best` is known to equal the true
-  /// minimal latency L — either the bound-finding phase ran to completion
-  /// or the heuristic seed met the root lower bound. Collection may then
-  /// stop each task after its first `max_optimal_schedules` ties in serial
-  /// enumeration order, because no completion can beat the incumbent.
+  /// Latency mode only: set before the workers start when the heuristic
+  /// seed meets the root lower bound, so `best` is the true minimal latency
+  /// L from node one. Every completion that passes the incumbent filter is
+  /// then a tie, and each task may stop after its first
+  /// `max_optimal_schedules` of them in serial enumeration order.
   bool latency_pinned = false;
-
-  /// Memo table, created on demand by the first worker to cross the
-  /// activation threshold (so small solves never allocate it).
-  std::atomic<MemoTable*> memo{nullptr};
-  Mutex memo_mu;
-  std::unique_ptr<MemoTable> memo_owner SS_GUARDED_BY(memo_mu);
-  std::uint64_t memo_capacity_hint = 0;
-
-  MemoTable* AcquireMemo() {
-    MemoTable* table = memo.load(std::memory_order_acquire);
-    if (table != nullptr) return table;
-    MutexLock lock(memo_mu);
-    table = memo.load(std::memory_order_relaxed);
-    if (table == nullptr) {
-      memo_owner = std::make_unique<MemoTable>(memo_capacity_hint);
-      table = memo_owner.get();
-      memo.store(table, std::memory_order_release);
-    }
-    return table;
-  }
 
   void OfferBest(Tick makespan) {
     Tick cur = best.load(std::memory_order_relaxed);
@@ -184,13 +95,8 @@ class NodeBudget {
     if (local_ == 0 && !Refill()) return false;
     --local_;
     ++used_;
-    ++lifetime_used_;
     return true;
   }
-
-  /// Nodes this searcher has charged over its lifetime (drives the memo
-  /// activation threshold).
-  std::int64_t LifetimeUsed() const { return lifetime_used_; }
 
   void Flush() {
     if (local_ > 0) {
@@ -234,7 +140,6 @@ class NodeBudget {
   SearchShared* shared_;
   std::int64_t local_ = 0;
   std::int64_t used_ = 0;
-  std::int64_t lifetime_used_ = 0;
 };
 
 /// Immutable per-variant-combination context: the expanded op graph plus
@@ -255,7 +160,7 @@ struct ComboContext {
 
   /// Lower bound on every schedule of this combination: the searcher's
   /// LowerBound before anything is placed, max(0, ceil(total_work /
-  /// procs), longest tail). Lets the seed skip the bound-finding phase.
+  /// procs), longest tail). A seed that meets it pins the latency.
   Tick RootLowerBound(int procs) const {
     Tick lb = std::max<Tick>(0, (total_work + procs - 1) / procs);
     for (Tick t : tail) lb = std::max(lb, t);
@@ -295,7 +200,7 @@ struct SearchTask {
   std::vector<std::pair<int, ProcId>> prefix;
 };
 
-/// Pinned latency collection's retained ties: at most `cap` placement
+/// Latency mode's retained ties: at most `cap` placement
 /// records in one flat buffer of fixed-size slots, so recording a tie
 /// allocates nothing once its slot exists, and an IterationSchedule is
 /// built only for the ties that survive the final merge. A record's key is
@@ -403,32 +308,26 @@ struct WorkerState {
   /// Latency mode: the makespan of this worker's retained ties.
   /// Throughput mode: the minimal latency among in-bound completions.
   Tick best_makespan = kTickInfinity;
-  /// Retained ties of pinned latency collection, capped by serial key.
+  /// Latency mode: this worker's ties at `best_makespan`, capped by serial
+  /// key.
   TieBuffer ties;
-  /// Retained complete schedules of unpinned collection and bound mode,
-  /// keyed (and therefore capped) by canonical key. Both keys are
-  /// data-only total orders, so each per-worker cap keeps a superset of
-  /// the globally reported set no matter how the tree was partitioned
-  /// across workers.
+  /// Throughput mode: in-bound complete schedules, keyed (and therefore
+  /// capped) by canonical key. Both keys are data-only total orders, so
+  /// each per-worker cap keeps a superset of the globally reported set no
+  /// matter how the tree was partitioned across workers.
   std::map<std::string, IterationSchedule> candidates;
   /// Throughput mode: this worker's best pipelined schedule.
   bool has_pipelined = false;
   PipelinedSchedule pipelined;
-  /// Bound-phase fallback: best complete schedule seen while not
-  /// collecting, returned only when the budget/cancel cuts the search.
-  bool has_fallback = false;
-  Tick fallback_makespan = kTickInfinity;
-  IterationSchedule fallback;
 
   std::uint64_t steals = 0;
   std::uint64_t pruned_symmetry = 0;
   std::uint64_t pruned_dominance = 0;
-  std::uint64_t pruned_memo = 0;
 };
 
 class BnbSearcher;
 
-/// The work-stealing engine for one search phase. Worker 0 is the calling
+/// The work-stealing engine for one search. Worker 0 is the calling
 /// thread; workers 1..N-1 run as tasks on the shared SolverPool. Each
 /// worker loops: pop its own deque (LIFO, DFS order), else claim an
 /// unclaimed root combination, else steal the shallowest task from a
@@ -440,16 +339,13 @@ class SearchEngine {
   SearchEngine(const std::vector<std::unique_ptr<ComboContext>>& contexts,
                const CommModel& comm, const MachineConfig& machine,
                const OptimalOptions& options, const PruningOptions& prune,
-               SearchShared* shared, bool collect, bool use_memo,
-               int worker_count)
+               SearchShared* shared, int worker_count)
       : contexts_(contexts),
         comm_(comm),
         machine_(machine),
         options_(options),
         prune_(prune),
-        shared_(shared),
-        collect_(collect),
-        use_memo_(use_memo) {
+        shared_(shared) {
     std::int64_t live = 0;
     std::size_t max_ops = 0;
     for (const auto& ctx : contexts_) {
@@ -465,7 +361,7 @@ class SearchEngine {
     }
   }
 
-  /// Runs the phase to completion; the calling thread participates.
+  /// Runs the search to completion; the calling thread participates.
   void Run() {
     const int runners = static_cast<int>(workers_.size()) - 1;
     if (runners <= 0) {
@@ -512,8 +408,6 @@ class SearchEngine {
   }
 
   bool donation_enabled() const { return workers_.size() > 1; }
-  bool collect() const { return collect_; }
-  bool use_memo() const { return use_memo_; }
   const PruningOptions& prune() const { return prune_; }
 
   std::vector<std::unique_ptr<WorkerState>>& workers() { return workers_; }
@@ -552,8 +446,6 @@ class SearchEngine {
   const OptimalOptions& options_;
   const PruningOptions& prune_;
   SearchShared* shared_;
-  const bool collect_;
-  const bool use_memo_;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::atomic<std::size_t> next_root_{0};
@@ -566,7 +458,7 @@ class SearchEngine {
 /// the prefix replay. Immutable inputs come from the shared ComboContext;
 /// all mutable search state is private to the instance, so workers run
 /// without locks and the only cross-thread traffic is the incumbent, the
-/// budget, the memo table and the deques.
+/// budget and the deques.
 class BnbSearcher {
  public:
   BnbSearcher(const ComboContext& ctx, const CommModel& comm,
@@ -584,8 +476,6 @@ class BnbSearcher {
         worker_(engine->workers()[wid].get()),
         wid_(wid),
         combo_(combo),
-        collect_(engine->collect()),
-        use_memo_(engine->use_memo()),
         donate_(engine->donation_enabled()),
         budget_(shared),
         n_(static_cast<int>(ctx.og.op_count())),
@@ -614,13 +504,6 @@ class BnbSearcher {
       max_bytes = std::max(max_bytes, edge.bytes);
     }
     intra_comm_free_ = comm_.Cost(max_bytes, /*same_node=*/true) == 0;
-    node_procs_.resize(static_cast<std::size_t>(machine.nodes));
-    for (int p = 0; p < procs_; ++p) {
-      node_procs_[static_cast<std::size_t>(
-                      machine.NodeOfProc(ProcId(p)).value())]
-          .push_back(p);
-    }
-    proc_sig_.assign(static_cast<std::size_t>(procs_), 0);
     live_prof_.resize(static_cast<std::size_t>(procs_));
   }
 
@@ -771,65 +654,6 @@ class BnbSearcher {
       }
     }
     return lb;
-  }
-
-  /// 128-bit hash of the *search-relevant* state: the scheduled set, the
-  /// (processor, finish) of every live op (scheduled, some successor not),
-  /// the processor free times, and the canonical-order context
-  /// (last_start, last_op). Two partial schedules agreeing on all of these
-  /// admit exactly the same set of completions with the same makespans, so
-  /// the second one reached can be pruned (memo). Finished-and-drained ops'
-  /// placements are deliberately excluded: they can no longer influence
-  /// any future placement.
-  /// Hashes the search state *canonically under same-node processor
-  /// relabeling*: dead ops contribute only their identity (their placement
-  /// can no longer influence any future decision), live ops and free times
-  /// fold into a per-processor signature, and each node feeds its
-  /// processors' signatures in sorted order. Two states that differ only by
-  /// permuting the processors inside a node therefore hash identically, so
-  /// the memo table gives the bound-finding phase full processor-symmetry
-  /// reduction — including the live-producer cases the CollectProcs rule
-  /// must conservatively keep (a relabeling moves the producers along with
-  /// the free times, so the completions are isomorphic). The matching is
-  /// by 64-bit signature, folded into the table's documented collision
-  /// budget.
-  std::pair<std::uint64_t, std::uint64_t> StateHash(Tick last_start,
-                                                    int last_op) {
-    std::uint64_t lo = 0x9e3779b97f4a7c15ULL;
-    std::uint64_t hi = 0xc2b2ae3d27d4eb4fULL;
-    auto feed = [&lo, &hi](std::uint64_t v) {
-      lo = MixHash(lo, v);
-      hi = MixHash(hi, ~v);
-    };
-    for (int p = 0; p < procs_; ++p) {
-      const auto pp = static_cast<std::size_t>(p);
-      proc_sig_[pp] = MixHash(0x6a09e667f3bcc909ULL,
-                              static_cast<std::uint64_t>(proc_free_[pp]));
-    }
-    for (int i = 0; i < n_; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      if (!scheduled_[ii]) continue;
-      feed(static_cast<std::uint64_t>(i) * 2 + 1);
-      if (unsched_succs_[ii] > 0) {
-        const auto pp = static_cast<std::size_t>(proc_of_[ii].index());
-        proc_sig_[pp] = MixHash(proc_sig_[pp],
-                                static_cast<std::uint64_t>(i) * 2 + 1);
-        proc_sig_[pp] = MixHash(proc_sig_[pp],
-                                static_cast<std::uint64_t>(finish_of_[ii]));
-      }
-    }
-    for (const auto& procs : node_procs_) {
-      sig_scratch_.clear();
-      for (int p : procs) {
-        sig_scratch_.push_back(proc_sig_[static_cast<std::size_t>(p)]);
-      }
-      std::sort(sig_scratch_.begin(), sig_scratch_.end());
-      feed(0xbb67ae8584caa73bULL);  // node delimiter
-      for (std::uint64_t s : sig_scratch_) feed(s);
-    }
-    feed(static_cast<std::uint64_t>(last_start));
-    feed(static_cast<std::uint64_t>(last_op + 1));
-    return {lo, hi};
   }
 
   /// Candidate processors for this node, deduplicated by symmetry.
@@ -990,12 +814,11 @@ class BnbSearcher {
     return IterationSchedule(og_.variants(), std::move(entries));
   }
 
-  /// Unpinned collection and bound mode retain the `cap` smallest
-  /// canonical keys over a full enumeration; pinned latency collection
-  /// retains the first `cap` ties in serial order instead (TieBuffer).
-  /// Either way the per-worker retained set provably contains the global
-  /// smallest/first `cap`, so the merged result is independent of the
-  /// thread count.
+  /// Bound mode retains the `cap` smallest canonical keys over a full
+  /// enumeration (latency mode retains the first `cap` ties in serial order
+  /// instead, in TieBuffer). Either way the per-worker retained set
+  /// provably contains the global smallest/first `cap`, so the merged
+  /// result is independent of the thread count.
   void InsertCandidate(IterationSchedule sched) {
     const int cap = options_.max_optimal_schedules;
     if (cap <= 0) return;
@@ -1031,43 +854,28 @@ class BnbSearcher {
       return;
     }
     shared_->OfferBest(makespan);
-    if (!collect_) {
-      // Bound-finding phase: nothing is reported from here; remember the
-      // best completion seen in case the budget (or a cancel) cuts the
-      // collection phase off before it completes anything.
-      if (makespan < worker_->fallback_makespan) {
-        worker_->fallback_makespan = makespan;
-        worker_->fallback = CurrentSchedule();
-        worker_->has_fallback = true;
-      }
-      return;
-    }
-    // Collection phase. The incumbent filter is a timing-dependent
-    // shortcut, but a harmless one: every completion at the global minimum
-    // always passes it (the incumbent can never drop below the minimum),
-    // and the merge discards everything else. The retained set holds only
-    // completions at this worker's current best, so globally-minimal ones
-    // can never be crowded out of the cap by stale entries — any strictly
-    // better completion clears it first.
+    // The incumbent filter is a timing-dependent shortcut, but a harmless
+    // one: every completion at the global minimum always passes it (the
+    // incumbent can never drop below the minimum), and the merge discards
+    // everything else. The retained set holds only completions at this
+    // worker's current best, so globally-minimal ones can never be crowded
+    // out of the cap by stale entries — any strictly better completion
+    // clears it first.
     if (makespan > shared_->best.load(std::memory_order_relaxed)) return;
     if (makespan > worker_->best_makespan) return;
     if (makespan < worker_->best_makespan) {
       worker_->best_makespan = makespan;
-      worker_->candidates.clear();
       worker_->ties.Clear();
     }
-    if (!shared_->latency_pinned) {
-      InsertCandidate(CurrentSchedule());
-      return;
-    }
+    worker_->ties.Offer(combo_, path_, start_of_);
     // With the incumbent pinned at the proven minimum, every completion
     // reaching this point is a tie, and this task only ever contributes
     // its serially-first `cap` of them — once the quota is full the rest
     // of the subtree can't change the reported set, so stop the task.
-    const int cap = options_.max_optimal_schedules;
-    if (cap <= 0) return;
-    worker_->ties.Offer(combo_, path_, start_of_);
-    if (++task_ties_ >= cap) stopped_ = true;
+    if (shared_->latency_pinned &&
+        ++task_ties_ >= options_.max_optimal_schedules) {
+      stopped_ = true;
+    }
   }
 
   void Dfs(int depth, Tick cur_makespan, Tick last_start, int last_op) {
@@ -1079,38 +887,12 @@ class BnbSearcher {
       RecordComplete(cur_makespan);
       return;
     }
-    {
-      // Collection keeps every subtree that can still *tie* the incumbent
-      // (ties are exactly what the reported set contains). The bound-finding
-      // phase only needs strict improvements: its incumbent is always
-      // witnessed by a complete schedule (the heuristic seed or an earlier
-      // completion), so a subtree that can at best tie is a dead end there.
-      const Tick best = shared_->best.load(std::memory_order_relaxed);
-      const Tick lb = LowerBound(cur_makespan, last_start);
-      if (collect_ ? lb > best : lb >= best) return;
-    }
-    // Memo dedup (bound-finding phase only): the first visitor of a state
-    // claims it and explores its subtree; later visitors — along other
-    // branch orders, on any worker — prune. Sound because agreeing states
-    // admit identical completions; disabled while collecting because which
-    // path survives is timing-dependent across workers. Shallow states
-    // only: near-leaf states are overwhelmingly unique and would just
-    // thrash the table. The memo table itself is created lazily once this
-    // worker has charged kMemoActivationNodes, so small solves skip its
-    // allocation entirely.
-    if (use_memo_ && depth > 0 && n_ - depth > 2) {
-      MemoTable* memo = shared_->memo.load(std::memory_order_acquire);
-      if (memo == nullptr &&
-          budget_.LifetimeUsed() >= kMemoActivationNodes) {
-        memo = shared_->AcquireMemo();
-      }
-      if (memo != nullptr) {
-        const auto [lo, hi] = StateHash(last_start, last_op);
-        if (!memo->Claim(lo, hi)) {
-          ++worker_->pruned_memo;
-          return;
-        }
-      }
+    // Keep every subtree that can still *tie* the incumbent: ties are
+    // exactly what the reported set contains, and a subtree holding a tie
+    // at the minimum L has lb <= L <= incumbent, so this never cuts one.
+    if (LowerBound(cur_makespan, last_start) >
+        shared_->best.load(std::memory_order_relaxed)) {
+      return;
     }
     Frame& frame = frames_[static_cast<std::size_t>(depth)];
     CollectCandidates(&frame, last_start, last_op);
@@ -1150,8 +932,6 @@ class BnbSearcher {
   WorkerState* worker_;
   const std::size_t wid_;
   const std::size_t combo_;
-  const bool collect_;
-  const bool use_memo_;
   const bool donate_;
   NodeBudget budget_;
 
@@ -1181,10 +961,6 @@ class BnbSearcher {
   /// ops that still feed unscheduled successors — rebuilt per expansion
   /// for the processor-interchangeability test.
   std::vector<std::vector<std::pair<int, Tick>>> live_prof_;
-  /// Processors grouped by node, for the relabeling-canonical state hash.
-  std::vector<std::vector<int>> node_procs_;
-  std::vector<std::uint64_t> proc_sig_;
-  std::vector<std::uint64_t> sig_scratch_;
 
   std::vector<Frame> frames_;
   std::vector<std::uint64_t> class_seen_;
@@ -1194,7 +970,7 @@ class BnbSearcher {
   std::vector<Tick> replay_saved_;
 
   bool stopped_ = false;
-  /// Ties this task has contributed in pinned latency collection.
+  /// Ties this task has contributed while the latency is pinned.
   int task_ties_ = 0;
 };
 
@@ -1270,25 +1046,12 @@ std::vector<std::vector<VariantId>> EnumerateCombos(
   return combos;
 }
 
-/// Runs one engine phase and folds its telemetry into the result.
-void RunPhase(SearchEngine& engine, OptimalResult* result) {
-  engine.Run();
-  for (const auto& ws : engine.workers()) {
-    result->steals += ws->steals;
-    result->nodes_pruned_symmetry += ws->pruned_symmetry;
-    result->nodes_pruned_dominance += ws->pruned_dominance;
-    result->nodes_pruned_memo += ws->pruned_memo;
-  }
-}
-
-/// The whole Fig. 6 search. Latency mode minimizes makespan in up to two
-/// phases — a memoized bound-finding phase A that establishes the minimal
-/// latency L, then a memo-free collection phase B that enumerates the
-/// reported set with the incumbent pinned at L (phase A is skipped when
-/// the heuristic seed already matches the root lower bound, or when
-/// memoization is off — then a single seeded collection phase suffices).
-/// Bound mode (throughput) runs one collection phase with the incumbent
-/// fixed at the latency bound and keeps the best pipelined schedule.
+/// The whole Fig. 6 search, one pass in either mode. Latency mode seeds
+/// the incumbent, prunes only subtrees that cannot tie it, and keeps each
+/// worker's serially-first ties at that worker's best makespan; the merge
+/// takes the serially-first cap at the global minimum. Bound mode
+/// (throughput) fixes the incumbent at the latency bound and keeps the
+/// best pipelined schedule.
 Expected<OptimalResult> RunSearch(
     const graph::TaskGraph& graph, const graph::CostModel& costs,
     const CommModel& comm, const MachineConfig& machine,
@@ -1313,14 +1076,12 @@ Expected<OptimalResult> RunSearch(
   if (bound_mode) {
     prune.sink_dominance = false;
     prune.empty_node_symmetry = false;
-    prune.memo = false;
     prune.seed_incumbent = false;
   }
 
   SearchShared shared;
   shared.cancel = options.cancel;
   shared.bound_mode = bound_mode;
-  shared.memo_capacity_hint = options.max_nodes;
   shared.best.store(bound_mode ? latency_bound : kTickInfinity,
                     std::memory_order_relaxed);
   shared.budget_remaining.store(
@@ -1371,6 +1132,17 @@ Expected<OptimalResult> RunSearch(
     if (seed < kTickInfinity) {
       shared.OfferBest(seed);
       result.seed_makespan = seed;
+      // When the seed already equals the minimal root lower bound, L is
+      // proven equal to the seed before the search starts: pin it, so each
+      // task can stop after its first `cap` ties.
+      Tick root_lb = kTickInfinity;
+      for (const auto& ctx : contexts) {
+        if (ctx) {
+          root_lb =
+              std::min(root_lb, ctx->RootLowerBound(machine.total_procs()));
+        }
+      }
+      shared.latency_pinned = root_lb >= seed;
     }
   }
 
@@ -1386,44 +1158,15 @@ Expected<OptimalResult> RunSearch(
     worker_count = std::min(threads, SolverPool().thread_count() + 1);
   }
 
-  // Phase A (latency mode with memoization): establish the minimal latency
-  // L without collecting schedules. Skipped when the seed already equals
-  // the minimal root lower bound — then L is proven equal to the seed and
-  // the collection phase below starts exactly as tight.
-  std::vector<std::unique_ptr<WorkerState>> bound_phase_states;
-  if (!bound_mode && live > 0) {
-    Tick root_lb = kTickInfinity;
-    for (const auto& ctx : contexts) {
-      if (ctx) {
-        root_lb = std::min(root_lb, ctx->RootLowerBound(machine.total_procs()));
-      }
-    }
-    if (seed < kTickInfinity && root_lb >= seed) {
-      // The heuristic seed meets the root lower bound, so L == seed is
-      // proven without searching: skip the bound-finding phase and let
-      // collection start pinned.
-      shared.latency_pinned = true;
-    } else if (prune.memo) {
-      SearchEngine engine(contexts, comm, machine, options, prune, &shared,
-                          /*collect=*/false, /*use_memo=*/true,
-                          worker_count);
-      RunPhase(engine, &result);
-      bound_phase_states = std::move(engine.workers());
-      // A completed bound phase proves `best` is the true minimum; a
-      // truncated one proves nothing, so collection runs unpinned.
-      shared.latency_pinned =
-          !shared.budget_exhausted.load(std::memory_order_relaxed) &&
-          !shared.cancelled.load(std::memory_order_relaxed);
-    }
-  }
-
-  // Collection phase: enumerate and retain the reported set. In latency
-  // mode the incumbent is already pinned at L (phase A) or at the seed;
-  // in bound mode it is the fixed latency bound.
   SearchEngine engine(contexts, comm, machine, options, prune, &shared,
-                      /*collect=*/true, /*use_memo=*/false, worker_count);
-  RunPhase(engine, &result);
+                      worker_count);
+  engine.Run();
   auto& workers = engine.workers();
+  for (const auto& ws : workers) {
+    result.steals += ws->steals;
+    result.nodes_pruned_symmetry += ws->pruned_symmetry;
+    result.nodes_pruned_dominance += ws->pruned_dominance;
+  }
 
   result.nodes_explored =
       shared.nodes_consumed.load(std::memory_order_relaxed);
@@ -1467,31 +1210,13 @@ Expected<OptimalResult> RunSearch(
   }
 
   // Latency mode. The merged set is the first `cap` ties in serial order
-  // (pinned) or the `cap` smallest canonical keys (unpinned) among
-  // completions at the global minimum — independent of how the subtrees
-  // were spread across workers (see docs/solver.md for the argument).
+  // among completions at the global minimum — independent of how the
+  // subtrees were spread across workers (see docs/solver.md).
   if (min_latency == kTickInfinity) {
-    // The collection phase completed nothing (budget or cancel). Fall back
-    // to the best completion the bound-finding phase saw, if any.
-    const WorkerState* fallback = nullptr;
-    for (const auto& ws : bound_phase_states) {
-      if (!ws->has_fallback) continue;
-      if (fallback == nullptr ||
-          ws->fallback_makespan < fallback->fallback_makespan ||
-          (ws->fallback_makespan == fallback->fallback_makespan &&
-           ws->fallback.CanonicalKey() <
-               fallback->fallback.CanonicalKey())) {
-        fallback = ws.get();
-      }
-    }
-    if (fallback != nullptr &&
-        (!has_seed_schedule || fallback->fallback_makespan < seed)) {
-      result.min_latency = fallback->fallback_makespan;
-      result.optimal.push_back(fallback->fallback);
-    } else if (has_seed_schedule) {
-      // The bound-finding phase prunes everything that cannot strictly beat
-      // the seed, so when the seed is already optimal it completes nothing —
-      // the seed schedule itself is the witness.
+    // The search recorded no completion: the budget or a cancel cut it
+    // short before it reached one at or under the seed. The seed schedule
+    // is then the best witness there is.
+    if (has_seed_schedule) {
       result.min_latency = seed;
       result.optimal.push_back(std::move(seed_schedule));
     } else if (result.cancelled) {
@@ -1503,48 +1228,32 @@ Expected<OptimalResult> RunSearch(
     }
   } else {
     result.min_latency = min_latency;
-    const auto cap = static_cast<std::size_t>(
-        std::max(options.max_optimal_schedules, 0));
-    // S as (canonical key, schedule) pairs, each key built once.
-    std::vector<std::pair<std::string, IterationSchedule>> keyed;
-    if (shared.latency_pinned) {
-      // The first `cap` ties in serial order across all workers; only
-      // these become IterationSchedules.
-      std::vector<std::pair<const WorkerState*, std::size_t>> held;
-      for (const auto& ws : workers) {
-        if (ws->best_makespan != min_latency) continue;
-        for (std::size_t slot : ws->ties.order()) {
-          held.emplace_back(ws.get(), slot);
-        }
-      }
-      const auto cut = held.begin() + static_cast<std::ptrdiff_t>(
-                                          std::min(cap, held.size()));
-      std::partial_sort(held.begin(), cut, held.end(),
-                        [](const auto& a, const auto& b) {
-                          return TieBuffer::KeyLess(a.first->ties, a.second,
-                                                    b.first->ties, b.second);
-                        });
-      held.erase(cut, held.end());
-      keyed.reserve(held.size());
-      for (const auto& [ws, slot] : held) {
-        IterationSchedule sched =
-            ws->ties.Schedule(slot, contexts[ws->ties.Combo(slot)]->og);
-        std::string key = sched.CanonicalKey();
-        keyed.emplace_back(std::move(key), std::move(sched));
-      }
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-    } else {
-      // Already keyed canonically: the first `cap` of the merged map.
-      std::map<std::string, IterationSchedule> merged;
-      for (auto& ws : workers) {
-        if (ws->best_makespan == min_latency) merged.merge(ws->candidates);
-      }
-      for (auto& entry : merged) {
-        if (keyed.size() >= cap) break;
-        keyed.emplace_back(entry.first, std::move(entry.second));
-      }
+    const auto cap = static_cast<std::size_t>(options.max_optimal_schedules);
+    std::vector<std::pair<const WorkerState*, std::size_t>> held;
+    for (const auto& ws : workers) {
+      if (ws->best_makespan != min_latency) continue;
+      for (std::size_t slot : ws->ties.order()) held.emplace_back(ws.get(), slot);
     }
+    const auto cut = held.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(cap, held.size()));
+    std::partial_sort(held.begin(), cut, held.end(),
+                      [](const auto& a, const auto& b) {
+                        return TieBuffer::KeyLess(a.first->ties, a.second,
+                                                  b.first->ties, b.second);
+                      });
+    held.erase(cut, held.end());
+    // Only the survivors become IterationSchedules, each keyed once and
+    // sorted into canonical-key order.
+    std::vector<std::pair<std::string, IterationSchedule>> keyed;
+    keyed.reserve(held.size());
+    for (const auto& [ws, slot] : held) {
+      IterationSchedule sched =
+          ws->ties.Schedule(slot, contexts[ws->ties.Combo(slot)]->og);
+      std::string key = sched.CanonicalKey();
+      keyed.emplace_back(std::move(key), std::move(sched));
+    }
+    std::sort(keyed.begin(), keyed.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     result.optimal.reserve(keyed.size());
     for (auto& entry : keyed) result.optimal.push_back(std::move(entry.second));
   }

@@ -20,9 +20,10 @@
 //   * lower-bound pruning on remaining critical path and remaining work,
 //     against an incumbent seeded from the list scheduler's makespan;
 //   * a sink-dominance rule: a ready sink op that can finish before any
-//     other candidate can even start is scheduled unconditionally;
-//   * a sharded lock-free memo table that deduplicates equivalent partial
-//     schedules reached along different branch orders (latency phase A).
+//     other candidate can even start is scheduled unconditionally.
+// One pass finds L and collects S together: the incumbent prune keeps every
+// subtree that can still tie it, and each worker retains its ties by serial
+// position, so S is the serially-first `max_optimal_schedules` ties.
 // The search runs on `solver_threads` threads via work stealing: each worker
 // owns a bounded Chase-Lev deque of subtree tasks and donates sibling
 // branches while its deque is hungry; idle workers steal the shallowest
@@ -77,10 +78,6 @@ struct PruningOptions {
   /// than every other candidate's earliest start is scheduled
   /// unconditionally (latency mode only).
   bool sink_dominance = true;
-  /// Deduplicate equivalent partial-schedule states across workers through
-  /// a sharded lock-free memo table (latency mode, bound-finding phase
-  /// only; never used while collecting the reported set).
-  bool memo = true;
   /// Seed the shared incumbent with the list scheduler's makespan so the
   /// search starts tight instead of discovering its first bound late.
   bool seed_incumbent = true;
@@ -107,8 +104,8 @@ struct OptimalOptions {
   int solver_threads = kSolverThreadsUnset;
   /// Search-space reductions. The symmetry/dominance toggles participate in
   /// cache keys (they determine which equally-optimal schedules represent
-  /// their symmetry class in the reported set); seeding and memoization do
-  /// not (they only affect how fast the same result is found).
+  /// their symmetry class in the reported set); seeding does not (it only
+  /// affects how fast the same result is found).
   PruningOptions pruning;
   /// Pipelining options for step 3.
   PipelineOptions pipeline;
@@ -156,13 +153,12 @@ struct OptimalResult {
   /// Wall-clock duration of the solve call that produced this result.
   Tick solve_wall_ticks = 0;
   /// Work-stealing and pruning telemetry (run diagnostics only; not part
-  /// of SolveStats, so cache snapshots are unaffected). Steal counts are
-  /// timing-dependent; the pruning counters are deterministic for a fixed
-  /// problem whenever the memo table is off.
+  /// of SolveStats, so cache snapshots are unaffected). Steal counts and,
+  /// above one thread, the pruning counters are timing-dependent: the
+  /// incumbent's history decides which subtrees are visited at all.
   std::uint64_t steals = 0;
   std::uint64_t nodes_pruned_symmetry = 0;
   std::uint64_t nodes_pruned_dominance = 0;
-  std::uint64_t nodes_pruned_memo = 0;
   /// Makespan of the heuristic seed schedule (0 = search ran unseeded).
   Tick seed_makespan = 0;
 

@@ -54,8 +54,8 @@ graph::Fingerprint ScheduleService::RequestKey(const SolveRequest& request) {
   // deterministic across thread counts, so results are interchangeable.
   // The symmetry/dominance toggles are present because they determine
   // which representative of each symmetry class appears in the reported
-  // set; seeding and memoization are absent (they only change how fast the
-  // same result is found).
+  // set; seeding is absent (it only changes how fast the same result is
+  // found).
   const std::uint64_t pruning_bits =
       (o.pruning.proc_symmetry ? 1ULL : 0ULL) |
       (o.pruning.ready_symmetry ? 2ULL : 0ULL) |

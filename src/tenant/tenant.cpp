@@ -53,6 +53,11 @@ Expected<std::shared_ptr<TenantState>> TenantRegistry::Register(
   if (config.name.empty()) {
     return Status(InvalidArgumentError("tenant name must be non-empty"));
   }
+  if (config.name.size() > kMaxTenantNameBytes) {
+    return Status(InvalidArgumentError(
+        "tenant name is " + std::to_string(config.name.size()) +
+        " bytes; the limit is " + std::to_string(kMaxTenantNameBytes)));
+  }
   if (!(config.weight > 0.0)) {
     return Status(InvalidArgumentError("tenant '" + config.name +
                                        "' weight must be > 0"));

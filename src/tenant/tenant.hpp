@@ -117,6 +117,11 @@ struct TenantState {
   LatencyHistogram& latency;
 };
 
+/// Longest tenant name the registry accepts, in bytes. A tenant's name
+/// labels each of its rows in every STATS response, so the bound is what
+/// keeps a registry of 1,024 tenants inside one frame.
+inline constexpr std::size_t kMaxTenantNameBytes = 32;
+
 struct RegistryOptions {
   /// Hard cap on registered tenants; registration past it is refused.
   std::size_t max_tenants = 64;
@@ -134,7 +139,8 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Registers a tenant. Fails with kInvalidArgument (bad name/weight),
+  /// Registers a tenant. Fails with kInvalidArgument (empty name, name
+  /// longer than kMaxTenantNameBytes, bad weight or queue capacity),
   /// kAlreadyExists, or kFailedPrecondition (registry full).
   Expected<std::shared_ptr<TenantState>> Register(TenantConfig config);
 

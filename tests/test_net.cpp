@@ -212,27 +212,33 @@ TEST(Protocol, StatsResponseRoundTrip) {
 
 TEST(Protocol, StatsResponseFor1024TenantsFitsAFrame) {
   // 16x the default tenant cap, each with every per-tenant row a server
-  // registers; rows repeat their names and labels.
-  service::ScheduleService service{service::ServiceOptions{}};
-  tenant::TenantSchedulerOptions options;
-  options.registry.max_tenants = 1024;
-  options.dispatch_threads = 0;
-  tenant::TenantScheduler tenants(&service, options);
-  for (int i = 0; i < 1024; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "tenant-%04d", i);
-    ASSERT_TRUE(tenants.RegisterTenant({.name = name}).ok());
+  // registers; rows repeat their names and labels. Once with short names,
+  // once with every name at the registry's length bound.
+  for (std::size_t name_bytes : {std::size_t{11}, tenant::kMaxTenantNameBytes}) {
+    SCOPED_TRACE(std::to_string(name_bytes) + "-byte names");
+    service::ScheduleService service{service::ServiceOptions{}};
+    tenant::TenantSchedulerOptions options;
+    options.registry.max_tenants = 1024;
+    options.dispatch_threads = 0;
+    tenant::TenantScheduler tenants(&service, options);
+    for (int i = 0; i < 1024; ++i) {
+      char prefix[32];
+      std::snprintf(prefix, sizeof(prefix), "tenant-%04d", i);
+      std::string name = prefix;
+      name.resize(name_bytes, 'x');
+      ASSERT_TRUE(tenants.RegisterTenant({.name = name}).ok());
+    }
+    StatsResponseMsg msg;
+    msg.metrics = service.metrics().Snapshot();
+    msg.metrics.Append(tenants.metrics().Snapshot());
+    const std::vector<std::uint8_t> body = EncodeBody(msg);
+    EXPECT_LE(kFrameHeaderBytes + body.size(), kMaxFrameBytes)
+        << body.size() << " body bytes";
+    StatsResponseMsg decoded;
+    ASSERT_TRUE(Decode(body.data(), body.size(), &decoded).ok());
+    EXPECT_EQ(decoded.metrics.rows.size(), msg.metrics.rows.size());
+    tenants.Shutdown();
   }
-  StatsResponseMsg msg;
-  msg.metrics = service.metrics().Snapshot();
-  msg.metrics.Append(tenants.metrics().Snapshot());
-  const std::vector<std::uint8_t> body = EncodeBody(msg);
-  EXPECT_LE(kFrameHeaderBytes + body.size(), kMaxFrameBytes)
-      << body.size() << " body bytes";
-  StatsResponseMsg decoded;
-  ASSERT_TRUE(Decode(body.data(), body.size(), &decoded).ok());
-  EXPECT_EQ(decoded.metrics.rows.size(), msg.metrics.rows.size());
-  tenants.Shutdown();
 }
 
 TEST(Protocol, StatsDecodeRefusesCountsTheBodyCannotHold) {
@@ -925,6 +931,30 @@ TEST(NetServer, UnknownTenantRoundTripsTyped) {
       {.tenant = "ghost", .problem_text = "this is not a problem\n"});
   ASSERT_FALSE(malformed_solve.ok());
   EXPECT_EQ(malformed_solve.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NetServer, OverlongTenantNameIsMalformedAndStatsStillDecode) {
+  // Auto-registration would otherwise let one client put a 60,000-byte
+  // name into every tenant row of every STATS response.
+  TestServer ts(Workers(2), Dispatchers(1));
+  AsyncClient client;
+  ASSERT_TRUE(ts.StartAndConnect(&client).ok());
+
+  LookupRequestMsg lookup;
+  lookup.tenant = std::string(60'000, 'n');
+  lookup.problem_text = ProblemText(9);
+  auto probe = client.Lookup(lookup);
+  ASSERT_FALSE(probe.ok());
+  EXPECT_EQ(probe.status().code(), StatusCode::kInvalidArgument);
+  auto solve = client.Solve({.tenant = lookup.tenant,
+                             .problem_text = ProblemText(9)});
+  ASSERT_FALSE(solve.ok());
+  EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument);
+
+  // Nothing was registered, and STATS still fits its frame and decodes.
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->metrics.Find("tenant_weight"), nullptr);
 }
 
 TEST(NetServer, BadProblemTextIsMalformedButConnectionSurvives) {

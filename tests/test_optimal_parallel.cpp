@@ -171,7 +171,6 @@ TEST(ParallelOptimalTest, PruningConfigsStayDeterministicAcrossThreads) {
       opts.pruning.ready_symmetry = config != 2;
       opts.pruning.empty_node_symmetry = config != 3;
       opts.pruning.sink_dominance = config != 4;
-      opts.pruning.memo = config != 5;
       opts.pruning.seed_incumbent = config != 5;
       auto result = sched.Schedule(kR0, opts);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -239,7 +238,7 @@ TEST(ParallelOptimalTest, PropertySweepIdenticalAcrossThreadCounts) {
 // Stress: many solves racing on the shared solver pool, each itself
 // multi-threaded with donation and stealing active. Every solve of the
 // same problem must agree with the serial baseline bit for bit. (TSan
-// covers the deque/memo/incumbent protocol here.)
+// covers the deque/incumbent protocol here.)
 TEST(ParallelOptimalTest, ConcurrentSolvesStayDeterministic) {
   graph::SyntheticProblem dag = LayeredProblem(42);
   ASSERT_TRUE(dag.graph.Validate().ok());
@@ -346,9 +345,8 @@ TEST(ParallelOptimalTest, CompletePrefixesChargeTheBudgetOnce) {
   // A 3-op chain on one processor has exactly one schedule, and the search
   // visits each of its 4 prefixes (empty through complete) exactly once —
   // so nodes_explored must be exactly 4. This also pins down that the
-  // heuristic seed (here provably optimal: the root lower bound equals the
-  // list-scheduler makespan) suppresses the memoized bound-finding phase,
-  // so the chain is searched in a single collection pass, and that donated
+  // search is one pass (the heuristic seed is provably optimal here: the
+  // root lower bound equals the list-scheduler makespan) and that donated
   // prefix replays never re-charge the budget.
   graph::TaskGraph g;
   const TaskId a = g.AddTask("a", true);
@@ -461,25 +459,27 @@ std::vector<DigestCase> DigestSweep() {
   return cases;
 }
 
-// Regression digest of what the solver reports: every solve's min_latency,
+// Regression digests of what the solver reports: every solve's min_latency,
 // reported set (canonical keys, in order), and best pipelined schedule
-// (key, II, rotation), folded over a seeded sweep in latency mode with all
-// reductions on, with none (the unpinned collection path), and on every
-// third problem in throughput mode bounded at the minimal latency. The
-// recorded constant pins the results bit for bit, for each thread count;
-// a change that moves it changes solver output.
+// (key, II, rotation), folded over a seeded sweep. The first digest covers
+// latency mode with all reductions on plus throughput mode (every third
+// problem, bounded at the minimal latency); the second covers latency mode
+// with every reduction off, whose capped set is the serially-first ties of
+// the unseeded search. The recorded constants pin the results bit for bit,
+// for each thread count; a change that moves one changes solver output.
 TEST(ParallelOptimalTest, SeededSweepMatchesRecordedDigest) {
-  constexpr std::uint64_t kRecorded = 0xde6ed3c2e469cff4ULL;
+  constexpr std::uint64_t kRecordedDefault = 0xee763ae994d989cfULL;
+  constexpr std::uint64_t kRecordedNone = 0x2921ea88c2c30e7dULL;
   const std::vector<DigestCase> cases = DigestSweep();
   sched::PruningOptions none;
   none.proc_symmetry = false;
   none.ready_symmetry = false;
   none.empty_node_symmetry = false;
   none.sink_dominance = false;
-  none.memo = false;
   none.seed_incumbent = false;
   for (int threads : {1, 4}) {
-    Digest digest;
+    Digest default_digest;
+    Digest none_digest;
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const DigestCase& c = cases[i];
       SCOPED_TRACE("case " + std::to_string(i) + " threads " +
@@ -492,26 +492,72 @@ TEST(ParallelOptimalTest, SeededSweepMatchesRecordedDigest) {
       auto full = solver.Schedule(kR0, opts);
       ASSERT_TRUE(full.ok()) << full.status().ToString();
       ASSERT_FALSE(full->budget_exhausted);
-      digest.Add(*full);
+      default_digest.Add(*full);
 
       OptimalOptions unpruned = opts;
       unpruned.pruning = none;
       auto enumerated = solver.Schedule(kR0, unpruned);
       ASSERT_TRUE(enumerated.ok()) << enumerated.status().ToString();
       ASSERT_FALSE(enumerated->budget_exhausted);
-      digest.Add(*enumerated);
+      none_digest.Add(*enumerated);
 
       if (i % 3 == 0) {
         auto throughput =
             solver.ScheduleForThroughput(kR0, full->min_latency, opts);
         ASSERT_TRUE(throughput.ok()) << throughput.status().ToString();
         ASSERT_FALSE(throughput->budget_exhausted);
-        digest.Add(*throughput);
+        default_digest.Add(*throughput);
       }
     }
-    EXPECT_EQ(digest.value(), kRecorded)
-        << "threads " << threads << ": digest 0x" << std::hex
-        << digest.value();
+    EXPECT_EQ(default_digest.value(), kRecordedDefault)
+        << "threads " << threads << ": default digest 0x" << std::hex
+        << default_digest.value();
+    EXPECT_EQ(none_digest.value(), kRecordedNone)
+        << "threads " << threads << ": reductions-off digest 0x" << std::hex
+        << none_digest.value();
+  }
+}
+
+// Width-3 layered DAGs on three processors with a 7-tick intra-node
+// latency, where a memoized proof pass once returned a non-minimal latency
+// serially (seeds 213 and 235) or dropped ties (seed 20). The expected
+// values are those every memo-free search agrees on, and every thread
+// count must report the same result.
+TEST(ParallelOptimalTest, WidthThreeSweepKeepsTheMinimumAndItsTies) {
+  struct Expected {
+    std::uint64_t seed;
+    Tick min_latency;
+    std::size_t ties;
+  };
+  for (const Expected& want : {Expected{20, 527, 24}, Expected{213, 439, 32},
+                               Expected{235, 857, 32}}) {
+    SCOPED_TRACE("seed " + std::to_string(want.seed));
+    Rng rng(0x9eed0000 + want.seed);
+    graph::SyntheticOptions gen;
+    gen.max_width = 3;
+    gen.layers = 2;
+    gen.max_chunks = 2;
+    graph::SyntheticProblem dag = graph::MakeLayered(rng, gen);
+    ASSERT_TRUE(dag.graph.Validate().ok());
+    CommModel comm;
+    comm.intra_latency = 7;
+    OptimalScheduler sched(dag.graph, dag.costs, comm,
+                           MachineConfig::SingleNode(3));
+    std::vector<ResultSignature> signatures;
+    for (int threads : {sched::kSolverThreadsUnset, 1, 4}) {
+      OptimalOptions opts;
+      opts.solver_threads = threads;
+      auto result = sched.Schedule(kR0, opts);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_FALSE(result->budget_exhausted);
+      EXPECT_EQ(result->min_latency, want.min_latency) << threads;
+      EXPECT_EQ(result->optimal.size(), want.ties) << threads;
+      signatures.emplace_back(*result);
+    }
+    for (std::size_t i = 1; i < signatures.size(); ++i) {
+      EXPECT_TRUE(signatures[i] == signatures[0])
+          << "thread setting " << i << " diverged";
+    }
   }
 }
 

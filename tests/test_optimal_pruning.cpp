@@ -40,7 +40,6 @@ PruningOptions AllOff() {
   p.ready_symmetry = false;
   p.empty_node_symmetry = false;
   p.sink_dominance = false;
-  p.memo = false;
   p.seed_incumbent = false;
   return p;
 }
@@ -126,7 +125,7 @@ TEST(OptimalPruningTest, EachRuleAloneMatchesPruneFreeReference) {
     ASSERT_TRUE(unpruned.ok()) << unpruned.status().ToString();
     ASSERT_FALSE(unpruned->budget_exhausted);
 
-    for (int rule = 0; rule < 6; ++rule) {
+    for (int rule = 0; rule < 5; ++rule) {
       SCOPED_TRACE(c.label + " rule " + std::to_string(rule));
       OptimalOptions opt;
       opt.pruning = AllOff();
@@ -135,8 +134,7 @@ TEST(OptimalPruningTest, EachRuleAloneMatchesPruneFreeReference) {
         case 1: opt.pruning.ready_symmetry = true; break;
         case 2: opt.pruning.empty_node_symmetry = true; break;
         case 3: opt.pruning.sink_dominance = true; break;
-        case 4: opt.pruning.memo = true; break;
-        case 5: opt.pruning.seed_incumbent = true; break;
+        case 4: opt.pruning.seed_incumbent = true; break;
       }
       opt.max_nodes = 30'000'000;
       auto result = solver.Schedule(kR0, opt);

@@ -145,6 +145,15 @@ TEST(TenantRegistry, RegisterResolveAndTypedFailures) {
   ASSERT_TRUE(registry.Resolve("b", &created).ok());
   EXPECT_FALSE(created);
 
+  // A name over the length bound is refused, whether registered or
+  // resolved, before the capacity check.
+  TenantConfig long_name;
+  long_name.name = std::string(kMaxTenantNameBytes + 1, 'x');
+  EXPECT_EQ(registry.Register(long_name).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Resolve(long_name.name).status().code(),
+            StatusCode::kInvalidArgument);
+
   TenantConfig c;
   c.name = "c";
   EXPECT_EQ(registry.Register(c).status().code(),

@@ -73,9 +73,10 @@ int Usage(const char* argv0) {
       "                 are identical for every thread count)\n"
       "  --solver-pruning full|basic|none  search reductions for the exact\n"
       "                 solver (default full; basic = processor/ready\n"
-      "                 symmetry only; none = pure enumeration, for\n"
-      "                 cross-checking). All levels find the same minimum\n"
-      "                 latency; weaker levels just explore more nodes\n"
+      "                 symmetry only, unseeded; none = pure enumeration,\n"
+      "                 for cross-checking). All levels find the same\n"
+      "                 minimum latency and report its first 32 ties in\n"
+      "                 search order; weaker levels explore more nodes\n"
       "  --dot          also print the task graph in Graphviz dot format\n"
       "  --serve-bench N  skip the schedule printout and instead run N\n"
       "                 client threads through the in-process schedule\n"
@@ -670,7 +671,6 @@ int main(int argc, char** argv) {
     if (solver_pruning != "full") {
       opts.pruning.empty_node_symmetry = false;
       opts.pruning.sink_dominance = false;
-      opts.pruning.memo = false;
       opts.pruning.seed_incumbent = false;
       if (solver_pruning == "none") {
         opts.pruning.proc_symmetry = false;
