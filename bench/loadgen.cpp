@@ -89,7 +89,11 @@ struct LoadgenOptions {
   int pipelined_requests = 2000;
 };
 
-std::string TenantName(int i) { return "t" + std::to_string(i); }
+std::string TenantName(int i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
 
 double TenantWeight(int i) {
   if (i == 0) return 4.0;

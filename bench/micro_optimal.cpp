@@ -14,7 +14,7 @@
 // speedup is free of quality tradeoffs. Pass `--json <file>` to record
 // machine-readable results for tools/bench_compare; `_x` records are
 // higher-is-better speedups and `_count` records are informational search
-// counters (steals, nodes pruned per rule).
+// counters (steals, nodes pruned by the symmetry rules).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -211,7 +211,6 @@ int Run(int argc, char** argv) {
     std::uint64_t nodes = 0;
     std::uint64_t steals = 0;
     std::uint64_t pruned_symmetry = 0;
-    std::uint64_t pruned_dominance = 0;
     for (int threads : kThreadCounts) {
       sched::OptimalOptions opts;
       opts.solver_threads = threads;
@@ -221,7 +220,6 @@ int Run(int argc, char** argv) {
         nodes = result->nodes_explored;
         steals = result->steals;
         pruned_symmetry = result->nodes_pruned_symmetry;
-        pruned_dominance = result->nodes_pruned_dominance;
       });
       if (threads == 1) serial_median = s.median;
       const double speedup =
@@ -244,13 +242,11 @@ int Run(int argc, char** argv) {
                s.median, s.p95, "ms", bench::JsonReport::Better::kLower);
     }
     std::printf(
-        "case %s (%zu ops, %llu nodes, %llu steals, pruned "
-        "sym=%llu dom=%llu):\n%s",
+        "case %s (%zu ops, %llu nodes, %llu steals, pruned sym=%llu):\n%s",
         c.name.c_str(), c.graph.task_count(),
         static_cast<unsigned long long>(nodes),
         static_cast<unsigned long long>(steals),
         static_cast<unsigned long long>(pruned_symmetry),
-        static_cast<unsigned long long>(pruned_dominance),
         table.Render().c_str());
     using Better = bench::JsonReport::Better;
     json.Add("optimal_" + c.name + "_speedup_4t_x", speedup_4t,
@@ -264,9 +260,6 @@ int Run(int argc, char** argv) {
     json.Add("optimal_" + c.name + "_nodes_pruned_symmetry_count",
              static_cast<double>(pruned_symmetry),
              static_cast<double>(pruned_symmetry), "count", Better::kNone);
-    json.Add("optimal_" + c.name + "_nodes_pruned_dominance_count",
-             static_cast<double>(pruned_dominance),
-             static_cast<double>(pruned_dominance), "count", Better::kNone);
   }
   RunColdMix(&json);
   bench::PrintNote(

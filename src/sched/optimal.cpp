@@ -62,12 +62,6 @@ struct SearchShared {
   /// External cancellation request (OptimalOptions::cancel), or null.
   const std::atomic<bool>* cancel = nullptr;
   bool bound_mode = false;
-  /// Latency mode only: set before the workers start when the heuristic
-  /// seed meets the root lower bound, so `best` is the true minimal latency
-  /// L from node one. Every completion that passes the incumbent filter is
-  /// then a tie, and each task may stop after its first
-  /// `max_optimal_schedules` of them in serial enumeration order.
-  bool latency_pinned = false;
 
   void OfferBest(Tick makespan) {
     Tick cur = best.load(std::memory_order_relaxed);
@@ -157,15 +151,6 @@ struct ComboContext {
   /// merge rule matches live producers across processors by class.
   std::vector<int> eq_class;
   Tick total_work = 0;
-
-  /// Lower bound on every schedule of this combination: the searcher's
-  /// LowerBound before anything is placed, max(0, ceil(total_work /
-  /// procs), longest tail). A seed that meets it pins the latency.
-  Tick RootLowerBound(int procs) const {
-    Tick lb = std::max<Tick>(0, (total_work + procs - 1) / procs);
-    for (Tick t : tail) lb = std::max(lb, t);
-    return lb;
-  }
 
   explicit ComboContext(OpGraph g)
       : og(std::move(g)), tail(og.TailLengths()) {
@@ -322,7 +307,6 @@ struct WorkerState {
 
   std::uint64_t steals = 0;
   std::uint64_t pruned_symmetry = 0;
-  std::uint64_t pruned_dominance = 0;
 };
 
 class BnbSearcher;
@@ -513,7 +497,6 @@ class BnbSearcher {
   /// last-start/last-op canonical-order context.
   void RunTask(const SearchTask& task) {
     stopped_ = false;
-    task_ties_ = 0;
     path_.clear();
     replay_saved_.clear();
     Tick cur_makespan = 0;
@@ -574,7 +557,6 @@ class BnbSearcher {
     proc_of_[o] = proc;
     start_of_[o] = est;
     finish_of_[o] = finish;
-    free_sum_ += finish - proc_free_[proc.index()];
     proc_free_[proc.index()] = finish;
     remaining_work_ -= og_.op(op).cost;
     ++node_ops_[static_cast<std::size_t>(machine_.NodeOfProc(proc).value())];
@@ -616,7 +598,6 @@ class BnbSearcher {
       ++pred_remaining_[si];
     }
     remaining_work_ += og_.op(op).cost;
-    free_sum_ += saved_free - proc_free_[proc.index()];
     proc_free_[proc.index()] = saved_free;
     scheduled_[o] = false;
     proc_of_[o] = ProcId::Invalid();
@@ -764,43 +745,6 @@ class BnbSearcher {
         frame->cands.push_back(Candidate{i, p, est});
       }
     }
-    // Sink dominance (latency mode only): a ready sink op that would
-    // *finish* no later than every other candidate could even *start* can
-    // be scheduled unconditionally — any completion through a sibling
-    // branch maps to one at most as long that schedules the sink here
-    // first (exchange argument in docs/solver.md; positive cost keeps the
-    // resulting canonical order strict). Unsound in bound mode, where the
-    // pipelined argmin needs every in-bound completion, so the effective
-    // PruningOptions disable it there.
-    if (prune_.sink_dominance && frame->cands.size() > 1) {
-      Tick min1 = kTickInfinity;
-      Tick min2 = kTickInfinity;
-      int min1_count = 0;
-      for (const Candidate& c : frame->cands) {
-        if (c.est < min1) {
-          min2 = min1;
-          min1 = c.est;
-          min1_count = 1;
-        } else if (c.est == min1) {
-          ++min1_count;
-        } else {
-          min2 = std::min(min2, c.est);
-        }
-      }
-      for (const Candidate& c : frame->cands) {
-        if (!og_.succs(c.op).empty()) continue;
-        const Tick cost = og_.op(c.op).cost;
-        if (cost <= 0) continue;
-        const Tick others_min =
-            (c.est == min1 && min1_count == 1) ? min2 : min1;
-        if (c.est + cost <= others_min) {
-          worker_->pruned_dominance += frame->cands.size() - 1;
-          frame->cands[0] = c;
-          frame->cands.resize(1);
-          break;
-        }
-      }
-    }
   }
 
   IterationSchedule CurrentSchedule() const {
@@ -868,14 +812,6 @@ class BnbSearcher {
       worker_->ties.Clear();
     }
     worker_->ties.Offer(combo_, path_, start_of_);
-    // With the incumbent pinned at the proven minimum, every completion
-    // reaching this point is a tie, and this task only ever contributes
-    // its serially-first `cap` of them — once the quota is full the rest
-    // of the subtree can't change the reported set, so stop the task.
-    if (shared_->latency_pinned &&
-        ++task_ties_ >= options_.max_optimal_schedules) {
-      stopped_ = true;
-    }
   }
 
   void Dfs(int depth, Tick cur_makespan, Tick last_start, int last_op) {
@@ -955,7 +891,6 @@ class BnbSearcher {
   /// Scheduled op count per machine node (empty-node symmetry).
   std::vector<int> node_ops_;
   Tick remaining_work_ = 0;
-  Tick free_sum_ = 0;
   bool intra_comm_free_ = false;
   /// Per-processor live profiles — sorted (eq_class, finish) of scheduled
   /// ops that still feed unscheduled successors — rebuilt per expansion
@@ -970,8 +905,6 @@ class BnbSearcher {
   std::vector<Tick> replay_saved_;
 
   bool stopped_ = false;
-  /// Ties this task has contributed while the latency is pinned.
-  int task_ties_ = 0;
 };
 
 void SearchEngine::WorkerLoop(std::size_t wid) {
@@ -1069,12 +1002,11 @@ Expected<OptimalResult> RunSearch(
   OptimalResult result;
   result.variant_combinations = combos.size();
 
-  // Effective reductions for this mode: bound mode needs *every* in-bound
-  // completion for the pipelined argmin, so the latency-only rules and the
-  // seed are forced off there.
+  // Effective reductions for this mode. Bound mode fixes the incumbent at
+  // the latency bound, so a seed has nothing to tighten there, and it keeps
+  // its own collection path with empty-node symmetry off.
   PruningOptions prune = options.pruning;
   if (bound_mode) {
-    prune.sink_dominance = false;
     prune.empty_node_symmetry = false;
     prune.seed_incumbent = false;
   }
@@ -1132,17 +1064,6 @@ Expected<OptimalResult> RunSearch(
     if (seed < kTickInfinity) {
       shared.OfferBest(seed);
       result.seed_makespan = seed;
-      // When the seed already equals the minimal root lower bound, L is
-      // proven equal to the seed before the search starts: pin it, so each
-      // task can stop after its first `cap` ties.
-      Tick root_lb = kTickInfinity;
-      for (const auto& ctx : contexts) {
-        if (ctx) {
-          root_lb =
-              std::min(root_lb, ctx->RootLowerBound(machine.total_procs()));
-        }
-      }
-      shared.latency_pinned = root_lb >= seed;
     }
   }
 
@@ -1165,7 +1086,6 @@ Expected<OptimalResult> RunSearch(
   for (const auto& ws : workers) {
     result.steals += ws->steals;
     result.nodes_pruned_symmetry += ws->pruned_symmetry;
-    result.nodes_pruned_dominance += ws->pruned_dominance;
   }
 
   result.nodes_explored =

@@ -18,9 +18,7 @@
 //   * ready-op symmetry: interchangeable ready ops (chunks of the same task)
 //     are branched once;
 //   * lower-bound pruning on remaining critical path and remaining work,
-//     against an incumbent seeded from the list scheduler's makespan;
-//   * a sink-dominance rule: a ready sink op that can finish before any
-//     other candidate can even start is scheduled unconditionally.
+//     against an incumbent seeded from the list scheduler's makespan.
 // One pass finds L and collects S together: the incumbent prune keeps every
 // subtree that can still tie it, and each worker retains its ties by serial
 // position, so S is the serially-first `max_optimal_schedules` ties.
@@ -56,10 +54,14 @@ namespace ss::sched {
 /// substitutes its deployment default (ServiceOptions::solver_threads).
 inline constexpr int kSolverThreadsUnset = -1;
 
-/// Search-space reduction toggles. All sound (they never change the minimal
-/// latency or the reported schedule set's contents — docs/solver.md carries
-/// the per-rule arguments), all on by default; exposed so ablations, the
-/// pruning property tests, and `ssched --solver-pruning` can isolate them.
+/// Search-space reduction toggles, all on by default; exposed so ablations,
+/// the pruning property tests, and `ssched --solver-pruning` can isolate
+/// them. None changes the minimal latency L. The three symmetry rules each
+/// branch one representative per relabeling class (processors, ops or idle
+/// nodes swapped), so below the `max_optimal_schedules` cap S holds one
+/// member of every class of schedules at L; which member depends on the
+/// rules. The seed changes no result (docs/solver.md carries the per-rule
+/// arguments).
 struct PruningOptions {
   /// Branch once per interchangeable-processor class: two same-node
   /// processors with equal free times merge when intra-node communication
@@ -74,10 +76,6 @@ struct PruningOptions {
   /// Entirely idle nodes are interchangeable: candidates are generated on
   /// the first idle node only.
   bool empty_node_symmetry = true;
-  /// A ready sink op (no successors, positive cost) that finishes no later
-  /// than every other candidate's earliest start is scheduled
-  /// unconditionally (latency mode only).
-  bool sink_dominance = true;
   /// Seed the shared incumbent with the list scheduler's makespan so the
   /// search starts tight instead of discovering its first bound late.
   bool seed_incumbent = true;
@@ -102,10 +100,10 @@ struct OptimalOptions {
   /// (as long as the node budget is not exhausted — an exhausted search
   /// stops at a timing-dependent frontier).
   int solver_threads = kSolverThreadsUnset;
-  /// Search-space reductions. The symmetry/dominance toggles participate in
-  /// cache keys (they determine which equally-optimal schedules represent
-  /// their symmetry class in the reported set); seeding does not (it only
-  /// affects how fast the same result is found).
+  /// Search-space reductions. The symmetry toggles participate in cache
+  /// keys (they determine which relabeling of each schedule at L the
+  /// reported set holds); seeding does not (it only affects how fast the
+  /// same result is found).
   PruningOptions pruning;
   /// Pipelining options for step 3.
   PipelineOptions pipeline;
@@ -154,11 +152,10 @@ struct OptimalResult {
   Tick solve_wall_ticks = 0;
   /// Work-stealing and pruning telemetry (run diagnostics only; not part
   /// of SolveStats, so cache snapshots are unaffected). Steal counts and,
-  /// above one thread, the pruning counters are timing-dependent: the
+  /// above one thread, the pruning counter are timing-dependent: the
   /// incumbent's history decides which subtrees are visited at all.
   std::uint64_t steals = 0;
   std::uint64_t nodes_pruned_symmetry = 0;
-  std::uint64_t nodes_pruned_dominance = 0;
   /// Makespan of the heuristic seed schedule (0 = search ran unseeded).
   Tick seed_makespan = 0;
 

@@ -52,15 +52,13 @@ graph::Fingerprint ScheduleService::RequestKey(const SolveRequest& request) {
   const sched::OptimalOptions& o = request.options;
   // solver_threads is deliberately absent: the parallel search is
   // deterministic across thread counts, so results are interchangeable.
-  // The symmetry/dominance toggles are present because they determine
-  // which representative of each symmetry class appears in the reported
-  // set; seeding is absent (it only changes how fast the same result is
-  // found).
+  // The symmetry toggles are present because they determine which
+  // representative of each symmetry class appears in the reported set;
+  // seeding is absent (it only changes how fast the same result is found).
   const std::uint64_t pruning_bits =
       (o.pruning.proc_symmetry ? 1ULL : 0ULL) |
       (o.pruning.ready_symmetry ? 2ULL : 0ULL) |
-      (o.pruning.empty_node_symmetry ? 4ULL : 0ULL) |
-      (o.pruning.sink_dominance ? 8ULL : 0ULL);
+      (o.pruning.empty_node_symmetry ? 4ULL : 0ULL);
   const graph::Fingerprint base =
       request.has_problem_fingerprint ? request.problem_fingerprint
                                       : graph::Fingerprint(*request.problem);

@@ -63,7 +63,11 @@ std::string RenderGantt(const Trace& trace, int procs,
 
   // Header.
   os << cell("time");
-  for (int p = 0; p < procs; ++p) os << cell("P" + std::to_string(p));
+  for (int p = 0; p < procs; ++p) {
+    std::string label = "P";
+    label += std::to_string(p);
+    os << cell(label);
+  }
   os << '\n';
   os << std::string(static_cast<std::size_t>(w * (procs + 1)), '-') << '\n';
 
@@ -99,7 +103,8 @@ std::string RenderGantt(const Trace& trace, int procs,
                  (dot == std::string::npos ? "" : text.substr(dot));
         }
         if (found->frame != kNoTimestamp) {
-          text += "#" + std::to_string(found->frame);
+          text += '#';
+          text += std::to_string(found->frame);
         }
         os << cell(text);
       }

@@ -76,10 +76,14 @@ std::string VerifyReport::ToTable() const {
   AsciiTable table;
   table.SetHeader({"severity", "check", "op", "proc", "tick", "message"});
   for (const Finding& f : findings_) {
+    std::string proc = "-";
+    if (f.proc.valid()) {
+      proc = "P";
+      proc += std::to_string(f.proc.value());
+    }
     table.AddRow({std::string(SeverityName(f.severity)),
                   std::string(CheckName(f.check)),
-                  f.op >= 0 ? std::to_string(f.op) : "-",
-                  f.proc.valid() ? "P" + std::to_string(f.proc.value()) : "-",
+                  f.op >= 0 ? std::to_string(f.op) : "-", std::move(proc),
                   f.tick != kNoTick ? FormatTick(f.tick) : "-", f.message});
   }
   return table.Render();

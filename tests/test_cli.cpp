@@ -70,6 +70,15 @@ TEST_F(CliTest, DemoModeProducesSchedule) {
   EXPECT_NE(result.output.find("T4"), std::string::npos);
 }
 
+TEST_F(CliTest, DemoHonoursAnExplicitRegimeZero) {
+  // --demo defaults to regime 7 (8 models) only when --regime is absent.
+  auto result = RunCommand(binary_ + " --demo --regime 0 --frames 2");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("optimal schedule (regime 0)"),
+            std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, HeuristicModeRuns) {
   auto result = RunCommand(binary_ + " --demo --heuristic --frames 2");
   EXPECT_EQ(result.exit_code, 0) << result.output;

@@ -34,11 +34,12 @@ struct ChainFixture {
 
   explicit ChainFixture(const std::vector<Tick>& task_costs) {
     for (std::size_t i = 0; i < task_costs.size(); ++i) {
+      const std::string n = std::to_string(i);
       tasks.push_back(
-          graph.AddTask("t" + std::to_string(i), /*is_source=*/i == 0));
+          graph.AddTask(std::string("t").append(n), /*is_source=*/i == 0));
       costs.Set(kR0, tasks.back(), TaskCost::Serial(task_costs[i]));
       if (i > 0) {
-        ChannelId ch = graph.AddChannel("c" + std::to_string(i), 100);
+        ChannelId ch = graph.AddChannel(std::string("c").append(n), 100);
         graph.SetProducer(tasks[i - 1], ch);
         graph.AddConsumer(tasks[i], ch);
       }

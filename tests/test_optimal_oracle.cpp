@@ -1,10 +1,12 @@
 // Differential check of the exact solver against the brute-force oracle
 // (tests/brute_force_oracle.hpp), which shares no code with src/sched. Over
 // a seeded sweep of small synthetic problems (at most 6 ops, at most 3
-// processors) the solver's minimal latency must equal the oracle's, and
-// every schedule it reports must be one of the oracle's ties. A bug in
-// candidate generation, earliest-start placement, comm charging or any
-// pruning rule shows up here even when the solver agrees with itself.
+// processors) the solver's minimal latency must equal the oracle's, every
+// schedule it reports must be one of the oracle's ties, and its best
+// pipelined schedule must reach the smallest initiation interval of any
+// tie. A bug in candidate generation, earliest-start placement, comm
+// charging or any pruning rule shows up here even when the solver agrees
+// with itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,11 +177,10 @@ TEST(OptimalOracleTest, SolverMatchesBruteForceOnSmallProblems) {
   none.proc_symmetry = false;
   none.ready_symmetry = false;
   none.empty_node_symmetry = false;
-  none.sink_dominance = false;
   none.seed_incumbent = false;
-  int ii_gaps = 0;
-  int cases = 0;
-  for (const OracleCase& c : OracleSweep()) {
+  const std::vector<OracleCase> sweep = OracleSweep();
+  int capped = 0;
+  for (const OracleCase& c : sweep) {
     SCOPED_TRACE(c.label);
     ASSERT_TRUE(c.problem.graph.Validate().ok());
     oracle::BruteForce brute(c.problem.graph, c.problem.costs, kR0, c.comm,
@@ -212,17 +213,23 @@ TEST(OptimalOracleTest, SolverMatchesBruteForceOnSmallProblems) {
                            c.machine.total_procs(), opts.pipeline)
                            .initiation_interval);
       }
-      EXPECT_GE(got->best.initiation_interval, oracle_ii);
-      if (got->best.initiation_interval > oracle_ii) ++ii_gaps;
-      ++cases;
+      // Below the cap S holds one member of every relabeling class of
+      // ties. On at most three processors a relabeling maps each pipeline
+      // rotation to another, so it keeps the pipelined II, and step 3 must
+      // reach the oracle's minimum II over all ties. A capped S may not.
+      if (got->optimal.size() <
+          static_cast<std::size_t>(opts.max_optimal_schedules)) {
+        EXPECT_EQ(got->best.initiation_interval, oracle_ii)
+            << "best II misses the oracle's minimum over "
+            << want.ties.size() << " ties";
+      } else {
+        EXPECT_GE(got->best.initiation_interval, oracle_ii);
+        ++capped;
+      }
     }
   }
-  // The reductions keep one representative per symmetry class, sink
-  // dominance keeps one placement of a sink that finishes first, and S
-  // holds at most max_optimal_schedules ties, so `best` may miss a tie
-  // whose pipelined form is tighter; docs/solver.md records how often.
-  std::printf("best II above the oracle's minimum over ties: %d of %d\n",
-              ii_gaps, cases);
+  std::printf("S reached the cap on %d of %zu problems\n", capped,
+              sweep.size());
 }
 
 }  // namespace

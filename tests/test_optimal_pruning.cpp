@@ -39,7 +39,6 @@ PruningOptions AllOff() {
   p.proc_symmetry = false;
   p.ready_symmetry = false;
   p.empty_node_symmetry = false;
-  p.sink_dominance = false;
   p.seed_incumbent = false;
   return p;
 }
@@ -125,7 +124,7 @@ TEST(OptimalPruningTest, EachRuleAloneMatchesPruneFreeReference) {
     ASSERT_TRUE(unpruned.ok()) << unpruned.status().ToString();
     ASSERT_FALSE(unpruned->budget_exhausted);
 
-    for (int rule = 0; rule < 5; ++rule) {
+    for (int rule = 0; rule < 4; ++rule) {
       SCOPED_TRACE(c.label + " rule " + std::to_string(rule));
       OptimalOptions opt;
       opt.pruning = AllOff();
@@ -133,8 +132,7 @@ TEST(OptimalPruningTest, EachRuleAloneMatchesPruneFreeReference) {
         case 0: opt.pruning.proc_symmetry = true; break;
         case 1: opt.pruning.ready_symmetry = true; break;
         case 2: opt.pruning.empty_node_symmetry = true; break;
-        case 3: opt.pruning.sink_dominance = true; break;
-        case 4: opt.pruning.seed_incumbent = true; break;
+        case 3: opt.pruning.seed_incumbent = true; break;
       }
       opt.max_nodes = 30'000'000;
       auto result = solver.Schedule(kR0, opt);

@@ -165,10 +165,14 @@ INSTANTIATE_TEST_SUITE_P(
                       OnlineCase{10, 2, 200}, OnlineCase{10, 8, 2000},
                       OnlineCase{100, 2, 50}, OnlineCase{100, 8, 500},
                       OnlineCase{250, 4, 33}, OnlineCase{50, 1, 5000}),
-    [](const auto& info) {
-      return "q" + std::to_string(info.param.quantum_ms) + "c" +
-             std::to_string(info.param.capacity) + "p" +
-             std::to_string(info.param.period_ms);
+    [](const auto& case_info) {
+      std::string name = "q";
+      name += std::to_string(case_info.param.quantum_ms);
+      name += 'c';
+      name += std::to_string(case_info.param.capacity);
+      name += 'p';
+      name += std::to_string(case_info.param.period_ms);
+      return name;
     });
 
 }  // namespace

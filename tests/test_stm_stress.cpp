@@ -122,7 +122,9 @@ TEST_P(StmStress, InvariantHoldsUnderRandomizedTraffic) {
     while (!stop.load(std::memory_order_relaxed)) {
       const ChannelStats s = ch.Stats();
       ASSERT_EQ(s.puts, s.reclaimed + s.dropped + s.occupancy);
-      if (c.capacity != 0) ASSERT_LE(s.occupancy, c.capacity);
+      if (c.capacity != 0) {
+        ASSERT_LE(s.occupancy, c.capacity);
+      }
       ASSERT_LE(s.occupancy, s.max_occupancy);
       std::this_thread::yield();
     }
@@ -137,7 +139,9 @@ TEST_P(StmStress, InvariantHoldsUnderRandomizedTraffic) {
 
   const ChannelStats s = ch.Stats();
   EXPECT_EQ(s.puts, s.reclaimed + s.dropped + s.occupancy);
-  if (c.capacity != 0) EXPECT_LE(s.max_occupancy, c.capacity);
+  if (c.capacity != 0) {
+    EXPECT_LE(s.max_occupancy, c.capacity);
+  }
   EXPECT_GT(s.puts, 0u);
 }
 
@@ -147,8 +151,8 @@ INSTANTIATE_TEST_SUITE_P(
                       StressCase{"map_bounded", StorageMode::kMap, 32},
                       StressCase{"ring_small", StorageMode::kRing, 8},
                       StressCase{"ring_large", StorageMode::kRing, 256}),
-    [](const ::testing::TestParamInfo<StressCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<StressCase>& case_info) {
+      return std::string(case_info.param.name);
     });
 
 }  // namespace

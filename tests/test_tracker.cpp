@@ -199,10 +199,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompCase{1, 8, 8}, DecompCase{4, 1, 8},
                       DecompCase{4, 8, 8}, DecompCase{2, 3, 5},
                       DecompCase{3, 1, 2}, DecompCase{1, 2, 7}),
-    [](const auto& info) {
-      return "FP" + std::to_string(info.param.fp) + "xMP" +
-             std::to_string(info.param.mp) + "m" +
-             std::to_string(info.param.models);
+    [](const auto& case_info) {
+      return "FP" + std::to_string(case_info.param.fp) + "xMP" +
+             std::to_string(case_info.param.mp) + "m" +
+             std::to_string(case_info.param.models);
     });
 
 TEST_F(BodyFixture, ChunkCountMismatchRejected) {

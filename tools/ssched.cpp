@@ -58,7 +58,7 @@ int Usage(const char* argv0) {
       "       ssched verify <file.ssg> <file.sscache> [--regime N]\n"
       "                     [--capacity N]   # audit snapshot artifacts\n"
       "options:\n"
-      "  --regime N     schedule regime N (default 0)\n"
+      "  --regime N     schedule regime N (default 0; 7 with --demo)\n"
       "  --heuristic    use the critical-path list scheduler instead of\n"
       "                 the exhaustive optimal search\n"
       "  --frames N     frames to replay for the Gantt chart (default 6)\n"
@@ -459,6 +459,7 @@ int main(int argc, char** argv) {
   bool allow_rotation = true;
   bool serve = false;
   int regime_index = 0;
+  bool regime_given = false;
   int frames_arg = 6;
   int serve_bench = 0;
   int solver_threads = 1;
@@ -491,6 +492,7 @@ int main(int argc, char** argv) {
       if (!ParseIntArg("--regime", next(), &regime_index)) {
         return Usage(argv[0]);
       }
+      regime_given = true;
     } else if (arg == "--frames") {
       if (!ParseIntArg("--frames", next(), &frames_arg) || frames_arg < 0) {
         return Usage(argv[0]);
@@ -622,7 +624,7 @@ int main(int argc, char** argv) {
   graph::ProblemSpec spec;
   if (demo) {
     spec = DemoProblem();
-    if (regime_index == 0) regime_index = 7;  // 8 models
+    if (!regime_given) regime_index = 7;  // 8 models
   } else {
     auto loaded = graph::LoadProblemFile(path);
     if (!loaded.ok()) {
@@ -670,7 +672,6 @@ int main(int argc, char** argv) {
     opts.solver_threads = solver_threads;
     if (solver_pruning != "full") {
       opts.pruning.empty_node_symmetry = false;
-      opts.pruning.sink_dominance = false;
       opts.pruning.seed_incumbent = false;
       if (solver_pruning == "none") {
         opts.pruning.proc_symmetry = false;
