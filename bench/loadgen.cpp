@@ -12,10 +12,11 @@
 //   mixed     tenants * connections worker threads interleave cache-hit
 //             solves and lookups over the shared problems;
 //   fairness  every tenant floods its lane with *unique* problems (all
-//             cache misses) through several parallel connections, keeping
-//             the weighted-deficit-round-robin dispatcher saturated; the
+//             cache misses) through several parallel connections, each
+//             keeping a window of solves in flight, so the weighted-
+//             deficit-round-robin dispatcher stays saturated; the
 //             per-tenant dispatched deltas between two stats snapshots
-//             (taken while every lane is still backlogged) are compared
+//             (taken while every lane is backlogged) are compared
 //             against the configured weights.
 //
 // By default the server is self-hosted in-process on an ephemeral port
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -88,6 +90,11 @@ struct LoadgenOptions {
   /// Hit-path requests per measured pipelined burst.
   int pipelined_requests = 2000;
 };
+
+/// Solves each fairness connection keeps in flight: 8 tenants x 4
+/// connections x 4 = 128, under the server's default cap of 256 pending
+/// solves.
+constexpr int kFairnessWindow = 4;
 
 std::string TenantName(int i) {
   std::string name = "t";
@@ -172,9 +179,11 @@ struct DispatchSnapshot {
   std::vector<std::string> names;
   std::vector<double> weights;
   std::vector<std::uint64_t> dispatched;
+  std::vector<double> queued;
 };
 
-/// Reads each tenant's `tenant_weight` and `tenant_dispatched` rows.
+/// Reads each tenant's `tenant_weight`, `tenant_dispatched` and
+/// `tenant_queued` rows.
 Expected<DispatchSnapshot> SnapshotDispatch(net::AsyncClient& client) {
   auto stats = client.Stats();
   if (!stats.ok()) return stats.status();
@@ -186,8 +195,23 @@ Expected<DispatchSnapshot> SnapshotDispatch(net::AsyncClient& client) {
     snap.weights.push_back(row.value);
     snap.dispatched.push_back(
         stats->metrics.Count("tenant_dispatched", tenant));
+    snap.queued.push_back(stats->metrics.Gauge("tenant_queued", tenant));
   }
   return snap;
+}
+
+/// Whether each of the first `tenants` loadgen tenants has solves queued.
+bool AllLanesBacklogged(const DispatchSnapshot& snap, int tenants) {
+  for (int t = 0; t < tenants; ++t) {
+    const auto it =
+        std::find(snap.names.begin(), snap.names.end(), TenantName(t));
+    if (it == snap.names.end() ||
+        !(snap.queued[static_cast<std::size_t>(it - snap.names.begin())] >
+          0.0)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 int Run(const LoadgenOptions& options) {
@@ -332,20 +356,17 @@ int Run(const LoadgenOptions& options) {
               static_cast<unsigned long long>(collect.requests.load()));
 
   // ---- Phase 3: fairness under saturation --------------------------------
-  // Unique problems per tenant keep every lane backlogged; the dispatched
-  // deltas between `before` and the snapshot taken the moment the FIRST
-  // tenant finishes (all lanes still saturated until then) measure each
-  // tenant's achieved share of the solver.
+  // Unique problems per tenant, a window of them in flight on every
+  // connection, keep every lane backlogged; the dispatched deltas between
+  // `before` (taken once every lane has solves queued) and the snapshot
+  // taken the moment the FIRST tenant finishes (all other lanes still
+  // saturated) measure each tenant's achieved share of the solver.
   net::AsyncClient stats_client;
   if (Status s = connect(stats_client); !s.ok()) {
     collect.Fail("fairness/connect", s);
     return 1;
   }
-  auto before = SnapshotDispatch(stats_client);
-  if (!before.ok()) {
-    collect.Fail("fairness/stats", before.status());
-    return 1;
-  }
+  Expected<DispatchSnapshot> before = DispatchSnapshot{};
   DispatchSnapshot at_first_finish;
   std::atomic<bool> first_done{false};
   std::mutex stats_mu;
@@ -360,48 +381,80 @@ int Run(const LoadgenOptions& options) {
       for (int c = 0; c < options.connections_per_tenant; ++c) {
         threads.emplace_back([&, t, c] {
           const std::string tenant = TenantName(t);
-          net::AsyncClient client;
+          net::AsyncClientOptions client_options;
+          client_options.window = kFairnessWindow;
+          net::AsyncClient client(client_options);
           if (Status s = connect(client); !s.ok()) {
             collect.Fail("fairness/connect", s);
             return;
           }
           const int base = options.fairness_solves * (t + 1);
+          std::ptrdiff_t mine = 0;
+          for (int i = c; i < options.fairness_solves;
+               i += options.connections_per_tenant) {
+            ++mine;
+          }
+          std::latch answered(mine);
           for (int i = c; i < options.fairness_solves;
                i += options.connections_per_tenant) {
             // Salt disjoint from the shared universe and per-tenant.
             const std::uint64_t salt =
                 0x100000ULL + static_cast<std::uint64_t>(base + i) +
                 static_cast<std::uint64_t>(t) * 0x10000ULL;
-            auto resp = client.Solve(
-                SolveMsg(tenant, MakeProblemText(salt)));
-            collect.requests.fetch_add(1, std::memory_order_relaxed);
-            if (!resp.ok()) {
-              collect.Fail("fairness/solve", resp.status());
-              continue;
-            }
-            collect.RecordFingerprint(resp->summary.fingerprint_hex);
-            if (remaining[static_cast<std::size_t>(t)]->fetch_sub(1) == 1 &&
-                !first_done.exchange(true)) {
-              // This tenant drained first; grab the saturated-window
-              // snapshot while every other lane is still backlogged.
-              std::lock_guard<std::mutex> lock(stats_mu);
-              auto snap = SnapshotDispatch(stats_client);
-              if (snap.ok()) {
-                at_first_finish = std::move(*snap);
-              } else {
-                collect.Fail("fairness/stats", snap.status());
-              }
-            }
+            // Blocks while the window is full; completes on the client's
+            // reader thread.
+            client.SolveAsync(
+                SolveMsg(tenant, MakeProblemText(salt)),
+                [&, t](Expected<net::SolveResponseMsg> resp) {
+                  collect.requests.fetch_add(1, std::memory_order_relaxed);
+                  if (!resp.ok()) {
+                    collect.Fail("fairness/solve", resp.status());
+                  } else {
+                    collect.RecordFingerprint(resp->summary.fingerprint_hex);
+                    if (remaining[static_cast<std::size_t>(t)]->fetch_sub(
+                            1) == 1 &&
+                        !first_done.exchange(true)) {
+                      // This tenant drained first; grab the saturated-
+                      // window snapshot while every other lane is still
+                      // backlogged.
+                      std::lock_guard<std::mutex> lock(stats_mu);
+                      auto snap = SnapshotDispatch(stats_client);
+                      if (snap.ok()) {
+                        at_first_finish = std::move(*snap);
+                      } else {
+                        collect.Fail("fairness/stats", snap.status());
+                      }
+                    }
+                  }
+                  answered.count_down();
+                });
           }
+          answered.wait();
         });
       }
     }
+    // `before` waits for every lane's backlog: a lane still filling would
+    // forfeit its deficit-round-robin credit inside the window.
+    const Tick give_up = WallNow() + ticks::FromSeconds(10);
+    for (;;) {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      if (first_done.load() || WallNow() > give_up) {
+        before = Status(FailedPreconditionError(
+            "the lanes were never all backlogged at once"));
+        break;
+      }
+      before = SnapshotDispatch(stats_client);
+      if (!before.ok() || AllLanesBacklogged(*before, options.tenants)) {
+        break;
+      }
+    }
+    if (!before.ok()) collect.Fail("fairness/stats", before.status());
     for (auto& t : threads) t.join();
   }
 
   // Achieved vs configured share, over tenants seen in both snapshots.
   double fairness_deviation = 1.0;
-  if (!at_first_finish.names.empty()) {
+  if (before.ok() && !at_first_finish.names.empty()) {
     std::vector<double> weights;
     std::vector<double> deltas;
     double weight_sum = 0.0;

@@ -1,6 +1,7 @@
 #include "sched/optimal.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -59,8 +60,8 @@ struct SearchShared {
   std::atomic<bool> budget_exhausted{false};
   std::atomic<std::uint64_t> complete_schedules{0};
   std::atomic<bool> cancelled{false};
-  /// External cancellation request (OptimalOptions::cancel), or null.
-  const std::atomic<bool>* cancel = nullptr;
+  /// OptimalOptions::stop_at.
+  Tick stop_at = kTickInfinity;
   bool bound_mode = false;
 
   void OfferBest(Tick makespan) {
@@ -108,11 +109,10 @@ class NodeBudget {
   static constexpr std::int64_t kChunk = 1024;
 
   bool Refill() {
-    // Cancellation is polled here so the hot path stays a local decrement;
-    // a cancelled search stops within one chunk per worker. A cancelled
-    // result is incomplete, so it is flagged budget_exhausted as well.
-    if (shared_->cancel != nullptr &&
-        shared_->cancel->load(std::memory_order_relaxed)) {
+    // The time limit is checked here so the hot path stays a local
+    // decrement; a stopped search ends within one chunk per worker. A
+    // stopped result is incomplete, so it is flagged budget_exhausted too.
+    if (shared_->stop_at != kTickInfinity && WallNow() >= shared_->stop_at) {
       shared_->cancelled.store(true, std::memory_order_relaxed);
       shared_->budget_exhausted.store(true, std::memory_order_relaxed);
       return false;
@@ -1012,7 +1012,7 @@ Expected<OptimalResult> RunSearch(
   }
 
   SearchShared shared;
-  shared.cancel = options.cancel;
+  shared.stop_at = options.stop_at;
   shared.bound_mode = bound_mode;
   shared.best.store(bound_mode ? latency_bound : kTickInfinity,
                     std::memory_order_relaxed);
@@ -1133,15 +1133,16 @@ Expected<OptimalResult> RunSearch(
   // among completions at the global minimum — independent of how the
   // subtrees were spread across workers (see docs/solver.md).
   if (min_latency == kTickInfinity) {
-    // The search recorded no completion: the budget or a cancel cut it
-    // short before it reached one at or under the seed. The seed schedule
+    // The search recorded no completion: the budget or the time limit cut
+    // it short before it reached one at or under the seed. The seed schedule
     // is then the best witness there is.
     if (has_seed_schedule) {
       result.min_latency = seed;
       result.optimal.push_back(std::move(seed_schedule));
     } else if (result.cancelled) {
       return Status(
-          CancelledError("solve cancelled before any complete schedule"));
+          CancelledError("solve stopped at its time limit before any "
+                         "complete schedule"));
     } else {
       return Status(InternalError(
           "no schedule found (budget exhausted before any completion)"));

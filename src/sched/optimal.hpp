@@ -34,7 +34,6 @@
 // schedules are all of this form.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -107,12 +106,13 @@ struct OptimalOptions {
   PruningOptions pruning;
   /// Pipelining options for step 3.
   PipelineOptions pipeline;
-  /// Optional cooperative cancellation flag (not owned; may be set from any
-  /// thread). The search polls it at node-budget refills (every ~1024 nodes
-  /// per worker) and winds down, returning the best result found so far with
+  /// Time limit, as an absolute WallNow() tick; kTickInfinity = none. The
+  /// search checks the clock at node-budget refills (every ~1024 nodes per
+  /// worker) and, once the tick has passed, winds down, returning the best
+  /// result found so far (the seed when nothing better completed) with
   /// `cancelled` set, or an error if nothing completed yet. Runtime-only:
   /// does not participate in cache keys.
-  const std::atomic<bool>* cancel = nullptr;
+  Tick stop_at = kTickInfinity;
 };
 
 /// Compact solver diagnostics, carried alongside cached / service results
@@ -145,7 +145,7 @@ struct OptimalResult {
   std::uint64_t complete_schedules = 0;
   std::uint64_t variant_combinations = 0;
   bool budget_exhausted = false;
-  /// The search was cut short by OptimalOptions::cancel; the result is the
+  /// The search was cut short by OptimalOptions::stop_at; the result is the
   /// best found up to that point and carries no optimality guarantee.
   bool cancelled = false;
   /// Wall-clock duration of the solve call that produced this result.

@@ -1,7 +1,6 @@
 #include "service/schedule_service.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "graph/op_graph.hpp"
@@ -199,14 +198,14 @@ Status ValidateRegime(const graph::ProblemSpec& spec, RegimeId regime) {
   return OkStatus();
 }
 
-/// Subtracted from a degradable request's deadline when arming the
-/// watchdog: time reserved to compute the heuristic fallback.
+/// Subtracted from a degradable request's deadline to get its solve's stop
+/// time: time reserved to compose and answer the stopped search's result.
 constexpr Tick kDegradedMargin = ticks::FromMillis(2);
 
 }  // namespace
 
-Expected<SolveResult> ScheduleService::RunSolve(
-    const Job& job, const std::atomic<bool>* cancel) {
+Expected<SolveResult> ScheduleService::RunSolve(const Job& job,
+                                                Tick stop_at) {
   const SolveRequest& request = job.request;
   const graph::ProblemSpec& spec = *request.problem;
   SS_RETURN_IF_ERROR(ValidateRegime(spec, request.regime));
@@ -214,13 +213,18 @@ Expected<SolveResult> ScheduleService::RunSolve(
   if (effective.solver_threads == sched::kSolverThreadsUnset) {
     effective.solver_threads = options_.solver_threads;
   }
-  if (cancel != nullptr) effective.cancel = cancel;
+  effective.stop_at = stop_at;
   sched::OptimalScheduler scheduler(spec.graph, spec.costs, spec.comm,
                                     spec.machine);
   auto result = scheduler.Schedule(request.regime, effective);
   if (!result.ok()) return result.status();
   solver_nodes_.Inc(result->nodes_explored);
-  if (result->budget_exhausted) solver_budget_exhausted_.Inc();
+  // A stopped search is flagged budget_exhausted as well; count it once.
+  if (result->cancelled) {
+    watchdog_cancellations_.Inc();
+  } else if (result->budget_exhausted) {
+    solver_budget_exhausted_.Inc();
+  }
 
   auto solved = std::make_shared<CachedSolve>();
   solved->key = job.key;
@@ -228,8 +232,8 @@ Expected<SolveResult> ScheduleService::RunSolve(
   solved->schedule = std::move(result->best);
   solved->min_latency = result->min_latency;
   solved->stats = result->Stats();
-  // A search cut short — cancelled, or out of node budget — hands out its
-  // best incumbent: legal, but not proven optimal.
+  // A search cut short — stopped by its time limit, or out of node budget —
+  // hands out its best incumbent: legal, but not proven optimal.
   solved->quality = result->cancelled || result->budget_exhausted
                         ? sched::ScheduleQuality::kHeuristic
                         : sched::ScheduleQuality::kOptimal;
@@ -267,28 +271,24 @@ Expected<SolveResult> ScheduleService::RunDegraded(
 }
 
 Expected<SolveResult> ScheduleService::SolveWithResilience(const Job& job) {
-  // Cancel point: the earlier of the per-solve watchdog budget and, for
+  // Stop time: the earlier of the per-solve watchdog budget and, for
   // degradable requests, the deadline minus the margin needed to still
-  // compute the fallback in time.
-  std::atomic<bool> cancel{false};
-  Tick cancel_at = kTickInfinity;
+  // answer in time. A deadline already past stops the search before its
+  // first node, so it answers with its list-scheduler seed.
+  Tick stop_at = kTickInfinity;
   if (options_.solver_watchdog != kTickInfinity) {
-    cancel_at = WallNow() + options_.solver_watchdog;
+    stop_at = WallNow() + options_.solver_watchdog;
   }
   const Tick deadline = job.request.deadline;
   if (job.request.allow_degraded && deadline != kTickInfinity) {
-    cancel_at =
-        std::min(cancel_at, std::max<Tick>(0, deadline - kDegradedMargin));
+    stop_at = std::min(stop_at, std::max<Tick>(0, deadline - kDegradedMargin));
   }
-  const bool watched = cancel_at != kTickInfinity;
-  const std::uint64_t watch = watched ? ArmWatchdog(cancel_at, &cancel) : 0;
-  Expected<SolveResult> result = RunSolve(job, watched ? &cancel : nullptr);
-  if (watched) DisarmWatchdog(watch);
+  Expected<SolveResult> result = RunSolve(job, stop_at);
 
   if (!job.request.allow_degraded) return result;
   if (result.ok()) {
-    // Watchdog-cancelled search with an incumbent: already a (quality-
-    // tagged) degraded answer.
+    // A search stopped with an incumbent: already a (quality-tagged)
+    // degraded answer.
     if ((*result)->stats.cancelled) {
       degraded_.Inc();
     }
@@ -334,19 +334,10 @@ void ScheduleService::RunJob(const Job& job) {
     return;
   }
 
-  if (job.request.deadline != kTickInfinity &&
+  // A degradable request past its deadline still runs: its solve stops
+  // before the first node and answers with the seed.
+  if (!job.request.allow_degraded && job.request.deadline != kTickInfinity &&
       WallNow() > job.request.deadline) {
-    if (job.request.allow_degraded) {
-      // Graceful degradation: the deadline has already passed, so skip the
-      // optimal solver entirely and answer with the fast heuristic, tagged
-      // with its quality.
-      auto heuristic = RunDegraded(job.key, job.request);
-      if (heuristic.ok()) {
-        degraded_.Inc();
-        FinishJob(job, heuristic);
-        return;
-      }
-    }
     deadline_exceeded_.Inc();
     FinishJob(job,
               Status(DeadlineExceededError("request expired while queued")));
@@ -372,9 +363,9 @@ void ScheduleService::RunJob(const Job& job) {
   Expected<SolveResult> result = SolveWithResilience(job);
   if (result.ok()) {
     solve_wall_us_.Inc(static_cast<std::uint64_t>((*result)->stats.wall_ticks));
-    // Results cut short by a deadline or the watchdog, and the
-    // list-scheduler fallback, are served but never cached: a later
-    // request with a generous deadline must still trigger the full solve.
+    // Results stopped by their time limit, and the list-scheduler
+    // fallback, are served but never cached: a later request with a
+    // generous deadline must still trigger the full solve.
     // A budget-exhausted search is cached: the node budget is part of the
     // key, so a repeat could not do better.
     const SolveResult& solved = *result;
@@ -413,11 +404,10 @@ void ScheduleService::Shutdown() {
   if (pool != nullptr) pool->Shutdown();
   {
     // Wait out SolveOnCaller solves too: their results belong in the
-    // snapshot, and after them no cancel flag needs flipping.
+    // snapshot.
     MutexLock lock(mu_);
     while (!inflight_.empty()) drained_cv_.Wait(lock);
   }
-  StopWatchdog();
 
   if (!options_.snapshot_path.empty() && !snapshot_saved_.exchange(true)) {
     Status saved = cache_.Save(options_.snapshot_path);
@@ -428,61 +418,6 @@ void ScheduleService::Shutdown() {
       std::fprintf(stderr, "warning: %s\n", saved.ToString().c_str());
     }
   }
-}
-
-std::uint64_t ScheduleService::ArmWatchdog(Tick cancel_at,
-                                           std::atomic<bool>* cancel) {
-  MutexLock lock(watch_mu_);
-  if (!watch_stop_ && !watchdog_.joinable()) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
-  const std::uint64_t id = ++next_watch_id_;
-  watched_.emplace(id, Watched{cancel_at, cancel});
-  watch_cv_.NotifyOne();
-  return id;
-}
-
-void ScheduleService::DisarmWatchdog(std::uint64_t id) {
-  MutexLock lock(watch_mu_);
-  watched_.erase(id);
-}
-
-void ScheduleService::WatchdogLoop() {
-  MutexLock lock(watch_mu_);
-  while (!watch_stop_) {
-    Tick next = kTickInfinity;
-    for (const auto& [id, w] : watched_) {
-      next = std::min(next, w.cancel_at);
-    }
-    const Deadline deadline = Deadline::AtWall(next);
-    if (!deadline.expired()) {
-      // Woken by a new registration, stop, or the earliest cancel point;
-      // either way re-derive the registry state from scratch.
-      watch_cv_.WaitUntil(lock, deadline.time_point());
-      continue;
-    }
-    const Tick now = WallNow();
-    for (auto it = watched_.begin(); it != watched_.end();) {
-      if (it->second.cancel_at <= now) {
-        it->second.cancel->store(true, std::memory_order_release);
-        watchdog_cancellations_.Inc();
-        it = watched_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void ScheduleService::StopWatchdog() {
-  std::thread reaped;
-  {
-    MutexLock lock(watch_mu_);
-    watch_stop_ = true;
-    reaped = std::move(watchdog_);
-    watch_cv_.NotifyAll();
-  }
-  if (reaped.joinable()) reaped.join();
 }
 
 }  // namespace ss::service

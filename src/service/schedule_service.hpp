@@ -29,7 +29,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,9 +67,9 @@ struct ServiceOptions {
   /// service starts warm.
   std::string snapshot_path;
   /// Per-invocation solver budget: a branch-and-bound solve still running
-  /// this many ticks after it starts is cooperatively cancelled via
-  /// OptimalOptions::cancel (the search keeps its best incumbent, which is
-  /// served tagged kHeuristic). kTickInfinity disables the watchdog.
+  /// this many ticks after it starts stops itself at that time limit
+  /// (OptimalOptions::stop_at; the search keeps its best incumbent, which
+  /// is served tagged kHeuristic). kTickInfinity disables the watchdog.
   Tick solver_watchdog = kTickInfinity;
 };
 
@@ -88,11 +87,13 @@ struct SolveRequest {
   /// Absolute deadline in WallNow() ticks; kTickInfinity = none. A request
   /// still queued past its deadline fails with kDeadlineExceeded.
   Tick deadline = kTickInfinity;
-  /// Graceful degradation: when true, a request that cannot get an optimal
-  /// schedule in time (deadline pressure, watchdog cancellation, solver
-  /// failure) is answered with a fast list-scheduler result tagged
-  /// ScheduleQuality::kHeuristic instead of an error. Degraded results are
-  /// never cached, so a later unhurried request still gets the optimum.
+  /// Graceful degradation: when true, the solve stops shortly before the
+  /// deadline and a search stopped by its time limit serves its best
+  /// incumbent (the list-scheduler seed when the deadline had already
+  /// passed); a solve that fails is answered with a list-scheduler result.
+  /// Either is tagged ScheduleQuality::kHeuristic instead of an error.
+  /// Degraded results are never cached, so a later unhurried request still
+  /// gets the optimum.
   bool allow_degraded = false;
 };
 
@@ -170,26 +171,17 @@ class ScheduleService {
   void RunJob(const Job& job) SS_EXCLUDES(mu_);
   void FinishJob(const Job& job, const Expected<SolveResult>& result)
       SS_EXCLUDES(mu_);
-  /// The exact solve; counts the nodes it explored and whether its node
-  /// budget ran out.
-  Expected<SolveResult> RunSolve(const Job& job,
-                                 const std::atomic<bool>* cancel);
+  /// The exact solve, stopped at `stop_at`; counts the nodes it explored,
+  /// whether its time limit stopped it and whether its node budget ran out.
+  Expected<SolveResult> RunSolve(const Job& job, Tick stop_at);
 
-  /// One solve with the resilience stack: watchdog arming and — for
+  /// One solve with the resilience stack: its time limit and — for
   /// degradable requests — the heuristic fallback.
   Expected<SolveResult> SolveWithResilience(const Job& job);
 
   /// Heuristic fallback: list-schedule + pipeline, tagged kHeuristic.
   static Expected<SolveResult> RunDegraded(const graph::Fingerprint& key,
                                            const SolveRequest& request);
-
-  // Watchdog: a lazily started thread that flips the cancel flag of any
-  // registered solve whose cancel point has passed.
-  std::uint64_t ArmWatchdog(Tick cancel_at, std::atomic<bool>* cancel)
-      SS_EXCLUDES(watch_mu_);
-  void DisarmWatchdog(std::uint64_t id) SS_EXCLUDES(watch_mu_);
-  void WatchdogLoop() SS_EXCLUDES(watch_mu_);
-  void StopWatchdog() SS_EXCLUDES(watch_mu_);
 
   ServiceOptions options_;
   ScheduleCache cache_;
@@ -204,20 +196,6 @@ class ScheduleService {
   std::size_t queued_jobs_ SS_GUARDED_BY(mu_) = 0;
   std::unique_ptr<WorkerPool> pool_ SS_GUARDED_BY(mu_);
   std::atomic<bool> snapshot_saved_{false};
-
-  struct Watched {
-    Tick cancel_at;
-    std::atomic<bool>* cancel;
-  };
-  Mutex watch_mu_;
-  CondVar watch_cv_;
-  std::unordered_map<std::uint64_t, Watched> watched_
-      SS_GUARDED_BY(watch_mu_);
-  std::uint64_t next_watch_id_ SS_GUARDED_BY(watch_mu_) = 0;
-  /// The thread object itself is guarded (ArmWatchdog starts it lazily,
-  /// StopWatchdog moves it out under the lock and joins outside).
-  std::thread watchdog_ SS_GUARDED_BY(watch_mu_);
-  bool watch_stop_ SS_GUARDED_BY(watch_mu_) = false;
 
   MetricsRegistry metrics_;
   Counter& requests_ = metrics_.AddCounter("service_requests", "requests");

@@ -1,5 +1,6 @@
 #include "tenant/tenant.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -58,9 +59,9 @@ Expected<std::shared_ptr<TenantState>> TenantRegistry::Register(
         "tenant name is " + std::to_string(config.name.size()) +
         " bytes; the limit is " + std::to_string(kMaxTenantNameBytes)));
   }
-  if (!(config.weight > 0.0)) {
+  if (!(config.weight > 0.0) || !std::isfinite(config.weight)) {
     return Status(InvalidArgumentError("tenant '" + config.name +
-                                       "' weight must be > 0"));
+                                       "' weight must be finite and > 0"));
   }
   if (config.queue_capacity == 0) {
     return Status(InvalidArgumentError("tenant '" + config.name +
@@ -118,16 +119,21 @@ std::size_t TenantRegistry::size() const {
 
 namespace {
 
+/// Largest `queue=` a config file may ask for: far above any real lane,
+/// and low enough that the value converts to size_t exactly.
+constexpr double kMaxConfigQueue = 1 << 20;
+
 Status ConfigError(int line, const std::string& message) {
   return InvalidArgumentError("tenant config line " + std::to_string(line) +
                               ": " + message);
 }
 
+/// A finite number, the whole of `text`; inf and nan are refused.
 bool ParseDouble(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (*end != '\0') return false;
+  if (*end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -169,8 +175,8 @@ Expected<std::vector<TenantConfig>> ParseTenantConfig(std::string_view text) {
       const std::string value = token.substr(eq + 1);
       double num = 0.0;
       if (!ParseDouble(value, &num)) {
-        return ConfigError(line_no,
-                           "non-numeric value for '" + key + "': " + value);
+        return ConfigError(line_no, "non-numeric or non-finite value for '" +
+                                        key + "': " + value);
       }
       if (key == "weight") {
         if (!(num > 0.0)) return ConfigError(line_no, "weight must be > 0");
@@ -181,7 +187,10 @@ Expected<std::vector<TenantConfig>> ParseTenantConfig(std::string_view text) {
         if (!(num >= 1.0)) return ConfigError(line_no, "burst must be >= 1");
         config.burst = num;
       } else if (key == "queue") {
-        if (!(num >= 1.0)) return ConfigError(line_no, "queue must be >= 1");
+        if (!(num >= 1.0 && num <= kMaxConfigQueue) || num != std::floor(num)) {
+          return ConfigError(line_no,
+                             "queue must be a whole number from 1 to 1048576");
+        }
         config.queue_capacity = static_cast<std::size_t>(num);
       } else {
         return ConfigError(line_no, "unknown key '" + key + "'");

@@ -29,7 +29,7 @@ namespace ss::tenant {
 
 struct TenantConfig {
   std::string name;
-  /// Relative share of solver capacity under contention (> 0).
+  /// Relative share of solver capacity under contention (finite, > 0).
   double weight = 1.0;
   /// Sustained admission rate in requests/second; <= 0 means unlimited.
   double rate_per_sec = 0.0;
@@ -167,7 +167,8 @@ class TenantRegistry {
 ///
 ///   tenant <name> [weight=W] [rate=R] [burst=B] [queue=N]
 ///
-/// Unknown keys, duplicate names, and non-numeric values are errors with
+/// Unknown keys, duplicate names, non-numeric and non-finite values, and a
+/// queue that is not a whole number from 1 to 1,048,576 are errors with
 /// their line number (same strictness as the .ssg parser).
 Expected<std::vector<TenantConfig>> ParseTenantConfig(std::string_view text);
 

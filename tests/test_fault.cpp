@@ -1,16 +1,16 @@
 // Fault-tolerance tests: the fault model (plans, machine health, degraded
 // mode spaces), fault injection in the online simulator, degraded schedule
 // tables and the fault-tolerant manager's table-switch recovery, the
-// service's resilience paths (watchdog cancellation, graceful
+// service's resilience paths (the solve time limit, graceful
 // degradation), and crash-safe snapshot round trips.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -24,7 +24,9 @@
 #include "regime/degraded_table.hpp"
 #include "regime/fault_manager.hpp"
 #include "regime/regime.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/optimal.hpp"
+#include "sched/pipeline.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/schedule_service.hpp"
 #include "sim/online_sim.hpp"
@@ -288,22 +290,28 @@ TEST_F(FaultSimTest, DeterministicUnderFaults) {
   EXPECT_EQ(ra.frames_lost_to_faults, rb.frames_lost_to_faults);
 }
 
-// ---- solver cancellation -----------------------------------------------------
+// ---- solver time limit -------------------------------------------------------
 
-TEST(SolverCancelTest, PresetCancelFlagStopsTheSearch) {
+TEST(SolverCancelTest, PastStopTimeStopsTheSearch) {
   auto spec = MakeSpec(0);
   sched::OptimalScheduler scheduler(spec->graph, spec->costs, spec->comm,
                                     spec->machine);
-  std::atomic<bool> cancel{true};
   sched::OptimalOptions opts;
-  opts.cancel = &cancel;
+  opts.stop_at = WallNow();
+  // Seeded (the default): the search stops before its first node and
+  // answers with the list-scheduler seed.
   auto result = scheduler.Schedule(kR0, opts);
-  if (result.ok()) {
-    EXPECT_TRUE(result->cancelled);
-  } else {
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-        << result.status().ToString();
-  }
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->cancelled);
+  EXPECT_TRUE(result->budget_exhausted);
+  EXPECT_EQ(result->nodes_explored, 0u);
+  EXPECT_EQ(result->min_latency, result->seed_makespan);
+  // Unseeded, nothing completed: the stop is a typed error.
+  opts.pruning.seed_incumbent = false;
+  auto unseeded = scheduler.Schedule(kR0, opts);
+  ASSERT_FALSE(unseeded.ok());
+  EXPECT_EQ(unseeded.status().code(), StatusCode::kCancelled)
+      << unseeded.status().ToString();
 }
 
 // ---- degraded schedule tables ------------------------------------------------
@@ -506,6 +514,21 @@ TEST(ResilientServiceTest, PastDeadlineServedHeuristicWhenDegradable) {
   auto result = submitted->get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)->quality, sched::ScheduleQuality::kHeuristic);
+  // The solve stopped before its first node, so it served its seed: the
+  // list scheduler's best variant, pipelined.
+  const graph::ProblemSpec& spec = *request.problem;
+  auto iter = sched::ListScheduler(spec.comm, spec.machine)
+                  .ScheduleBestVariant(spec.graph, spec.costs, kR0);
+  ASSERT_TRUE(iter.ok()) << iter.status().ToString();
+  const sched::PipelinedSchedule heuristic = sched::PipelineComposer::Compose(
+      std::move(*iter), spec.machine.total_procs(), request.options.pipeline);
+  const sched::PipelinedSchedule& served = (*result)->schedule;
+  EXPECT_EQ((*result)->min_latency, heuristic.Latency());
+  EXPECT_EQ(served.Latency(), heuristic.Latency());
+  EXPECT_EQ(served.initiation_interval, heuristic.initiation_interval);
+  EXPECT_EQ(served.rotation, heuristic.rotation);
+  EXPECT_EQ(served.iteration.CanonicalKey(),
+            heuristic.iteration.CanonicalKey());
 
   auto stats = service.metrics().Snapshot();
   EXPECT_EQ(stats.Count("service_degraded"), 1u);
@@ -517,8 +540,8 @@ TEST(ResilientServiceTest, PastDeadlineServedHeuristicWhenDegradable) {
 
 TEST(ResilientServiceTest, WatchdogCancelsStuckSolve) {
   // A fork-join with a wide middle layer makes the branch-and-bound search
-  // long enough that the (immediately expired) watchdog always wins the
-  // race; the request still gets an answer via graceful degradation.
+  // long enough that the (immediately expired) time limit always stops it;
+  // the request still gets an answer via graceful degradation.
   Rng rng(42);
   graph::SyntheticProblem dag = graph::MakeForkJoin(rng, 6);
   auto spec = std::make_shared<graph::ProblemSpec>();
@@ -529,7 +552,7 @@ TEST(ResilientServiceTest, WatchdogCancelsStuckSolve) {
   spec->regime_count = 1;
 
   service::ServiceOptions options = ServiceOpts(1);
-  options.solver_watchdog = 0;  // cancel every solve as soon as it starts
+  options.solver_watchdog = 0;  // stop every solve as soon as it starts
   service::ScheduleService service(options);
 
   service::SolveRequest request;
@@ -541,7 +564,9 @@ TEST(ResilientServiceTest, WatchdogCancelsStuckSolve) {
 
   auto stats = StatsOverTheWire(&service);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->Count("service_watchdog_cancellations"), 1u);
+  EXPECT_EQ(stats->Count("service_watchdog_cancellations"), 1u);
+  // Stopped by its time limit, not out of node budget.
+  EXPECT_EQ(stats->Count("service_solver_budget_exhausted"), 0u);
   EXPECT_EQ(service.cache().Lookup(
                 service::ScheduleService::RequestKey(request)),
             nullptr);

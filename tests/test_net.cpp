@@ -712,7 +712,8 @@ TEST(NetServer, CoalescedSolveDoesNotHoldADispatcher) {
 TEST(NetServer, ServedSolvesRunOnDispatcherThreads) {
   // One loop and two dispatchers are the whole served path: the
   // dispatchers run the solves, so the service's worker pool never
-  // starts, not for a cold solve and not for a coalesced pair.
+  // starts, not for a cold solve and not for a coalesced pair; and a
+  // degradable deadline only gives its solve a stop time, no thread.
   RawConn conn;  // no thread of its own
   // A sanitizer runtime may start a helper thread of its own on the
   // process's first thread creation: get that out of the way first.
@@ -740,8 +741,18 @@ TEST(NetServer, ServedSolvesRunOnDispatcherThreads) {
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->type, MsgType::kSolveOk);
   }
+
+  SolveRequestMsg degradable = SolveMsg("alice", 43);
+  degradable.deadline_micros = 60'000'000;  // 60 s
+  degradable.allow_degraded = true;
+  const auto timed = SolveFrame(degradable, 4);
+  ASSERT_TRUE(conn.SendBytes(timed.data(), timed.size()).ok());
+  auto timed_answer = conn.ReadFrame();
+  ASSERT_TRUE(timed_answer.ok()) << timed_answer.status().ToString();
+  EXPECT_EQ(timed_answer->type, MsgType::kSolveOk);
+
   const MetricSnapshot stats = ts.service.metrics().Snapshot();
-  EXPECT_EQ(stats.Count("service_solves"), 2u);
+  EXPECT_EQ(stats.Count("service_solves"), 3u);
   EXPECT_EQ(stats.Count("service_coalesced"), 1u);
   EXPECT_EQ(ProcessThreads() - before, 3);
 }

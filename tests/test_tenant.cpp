@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,6 +123,21 @@ TEST(TenantConfig, RejectsDuplicateAndMalformed) {
   EXPECT_FALSE(ParseTenantConfig("tenant a weight=heavy\n").ok());
   EXPECT_FALSE(ParseTenantConfig("tenant a weight=0\n").ok());
   EXPECT_FALSE(ParseTenantConfig("widget a\n").ok());
+  // Non-finite numbers would switch a limit off or make one lane win every
+  // DRR round; a fractional or out-of-range queue would not convert to a
+  // size_t as written.
+  for (const char* text :
+       {"tenant a queue=1e30\n", "tenant a queue=inf\n",
+        "tenant a queue=2.5\n", "tenant a queue=1048577\n",
+        "tenant a weight=inf\n", "tenant a rate=nan\n",
+        "tenant a rate=-inf\n", "tenant a burst=inf\n"}) {
+    const auto parsed = ParseTenantConfig(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const auto largest = ParseTenantConfig("tenant a queue=1048576\n");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ((*largest)[0].queue_capacity, 1048576u);
 }
 
 // ---- TenantRegistry ------------------------------------------------------
@@ -153,6 +169,16 @@ TEST(TenantRegistry, RegisterResolveAndTypedFailures) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(registry.Resolve(long_name.name).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A weight that is not a finite positive number is refused too.
+  TenantConfig unbounded;
+  unbounded.name = "u";
+  for (const double weight : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    unbounded.weight = weight;
+    EXPECT_EQ(registry.Register(unbounded).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 
   TenantConfig c;
   c.name = "c";
