@@ -1,5 +1,8 @@
 #include "tenant/fair_queue.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 namespace ss::tenant {
@@ -51,10 +54,10 @@ bool FairScheduler::NextJobLocked(FairJob* out,
                                   std::vector<FairJob>* expired, Tick now) {
   if (lanes_.empty()) return false;
   const std::size_t n = lanes_.size();
-  // Each pass credits every backlogged lane once; total_queued_ > 0
-  // guarantees some lane's deficit eventually crosses 1, so this
-  // terminates in at most ceil(1 / min_weight) passes (or
-  // sooner, when expiry drains the last queued job).
+  // Each pass credits every backlogged lane once. A pass that dispatches
+  // nothing is followed by one credit standing in for every further pass
+  // that could not dispatch either, so the next pass dispatches (or
+  // expiry drains the last queued job) whatever the weights.
   while (total_queued_ > 0) {
     for (std::size_t k = 0; k < n; ++k) {
       Lane& lane = lanes_[cursor_];
@@ -92,6 +95,22 @@ bool FairScheduler::NextJobLocked(FairJob* out,
         cursor_ = (cursor_ + 1) % n;
       }
       return true;
+    }
+    // Every backlogged lane is short of a whole job, and the cursor is
+    // back where this pass began. Lane i reaches one after
+    // ceil((1 - deficit_i) / weight_i) more passes, so the passes before
+    // the first lane gets there are credited at once. The clamp holds a
+    // subnormal weight, whose 1 / weight overflows, to one job.
+    double idle_passes = std::numeric_limits<double>::infinity();
+    for (const Lane& lane : lanes_) {
+      if (lane.jobs.empty()) continue;
+      idle_passes = std::min(
+          idle_passes, std::ceil((1.0 - lane.deficit) / lane.weight) - 1.0);
+    }
+    if (!(idle_passes > 0.0)) continue;
+    for (Lane& lane : lanes_) {
+      if (lane.jobs.empty()) continue;
+      lane.deficit = std::min(lane.deficit + idle_passes * lane.weight, 1.0);
     }
   }
   return false;

@@ -59,9 +59,8 @@ class FairScheduler {
   FairScheduler(const FairScheduler&) = delete;
   FairScheduler& operator=(const FairScheduler&) = delete;
 
-  /// Adds a tenant lane. Returns the dense index expected by Submit().
-  /// Lanes match TenantState::index when registered in the same order (the
-  /// TenantScheduler guarantees this).
+  /// Adds a tenant lane. Returns the dense index expected by Submit(),
+  /// which the TenantScheduler keeps as TenantState::lane.
   int AddTenant(double weight, std::size_t queue_capacity);
 
   /// Enqueues a job on the tenant's lane. kWouldBlock when that lane is at

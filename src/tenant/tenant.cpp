@@ -18,10 +18,10 @@ Counter& Row(MetricsRegistry& m, const TenantConfig& c, const char* name,
 
 }  // namespace
 
-TenantState::TenantState(TenantConfig config_in, int index_in, Tick now,
+TenantState::TenantState(TenantConfig config_in, int lane_in, Tick now,
                          std::shared_ptr<MetricsRegistry> metrics_in)
     : config(std::move(config_in)),
-      index(index_in),
+      lane(lane_in),
       metrics(std::move(metrics_in)),
       bucket(config.rate_per_sec, config.burst, now),
       admitted(Row(*metrics, config, "tenant_admitted", "admitted")),
@@ -42,79 +42,6 @@ TenantState::TenantState(TenantConfig config_in, int index_in, Tick now,
                                     {{"tenant", config.name}})) {
   metrics->AddGauge("tenant_weight", "weight", {{"tenant", config.name}},
                     [weight = config.weight] { return weight; });
-}
-
-TenantRegistry::TenantRegistry(RegistryOptions options)
-    : options_(std::move(options)) {
-  SS_CHECK_MSG(options_.max_tenants > 0, "max_tenants must be positive");
-}
-
-Expected<std::shared_ptr<TenantState>> TenantRegistry::Register(
-    TenantConfig config) {
-  if (config.name.empty()) {
-    return Status(InvalidArgumentError("tenant name must be non-empty"));
-  }
-  if (config.name.size() > kMaxTenantNameBytes) {
-    return Status(InvalidArgumentError(
-        "tenant name is " + std::to_string(config.name.size()) +
-        " bytes; the limit is " + std::to_string(kMaxTenantNameBytes)));
-  }
-  if (!(config.weight > 0.0) || !std::isfinite(config.weight)) {
-    return Status(InvalidArgumentError("tenant '" + config.name +
-                                       "' weight must be finite and > 0"));
-  }
-  if (config.queue_capacity == 0) {
-    return Status(InvalidArgumentError("tenant '" + config.name +
-                                       "' queue capacity must be > 0"));
-  }
-  MutexLock lock(mu_);
-  for (const auto& t : tenants_) {
-    if (t->config.name == config.name) {
-      return Status(AlreadyExistsError("tenant '" + config.name +
-                                       "' already registered"));
-    }
-  }
-  if (tenants_.size() >= options_.max_tenants) {
-    return Status(FailedPreconditionError(
-        "tenant registry full (" + std::to_string(options_.max_tenants) +
-        " tenants)"));
-  }
-  auto state = std::make_shared<TenantState>(
-      std::move(config), static_cast<int>(tenants_.size()), WallNow(),
-      metrics_);
-  tenants_.push_back(state);
-  return state;
-}
-
-Expected<std::shared_ptr<TenantState>> TenantRegistry::Resolve(
-    const std::string& name, bool* created) {
-  if (created != nullptr) *created = false;
-  {
-    MutexLock lock(mu_);
-    for (const auto& t : tenants_) {
-      if (t->config.name == name) return t;
-    }
-  }
-  if (!options_.auto_register) {
-    return Status(NotFoundError("unknown tenant '" + name + "'"));
-  }
-  TenantConfig config = options_.default_config;
-  config.name = name;
-  auto registered = Register(std::move(config));
-  if (registered.ok()) {
-    if (created != nullptr) *created = true;
-    return registered;
-  }
-  if (registered.status().code() == StatusCode::kAlreadyExists) {
-    // Lost a registration race: the other thread's entry is the answer.
-    return Resolve(name, created);
-  }
-  return registered.status();
-}
-
-std::size_t TenantRegistry::size() const {
-  MutexLock lock(mu_);
-  return tenants_.size();
 }
 
 namespace {

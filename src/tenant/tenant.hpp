@@ -1,4 +1,4 @@
-// Tenant registry and admission control for the multi-tenant front end.
+// Tenant configs and admission control for the multi-tenant front end.
 //
 // The scheduler-as-a-service layer (src/service) answers one request at a
 // time for whoever calls it; this layer makes "whoever" explicit. Every
@@ -7,13 +7,16 @@
 // control), and a bounded pending queue (per-tenant backpressure, so one
 // misbehaving tenant fills its own queue, not the shared one).
 //
-// The registry is a fixed-capacity name -> TenantState map: registration
-// beyond `max_tenants` is refused, and lookups of unknown tenants either
-// auto-register with the default config or fail, depending on policy.
-// Tenant configs can be loaded from a text file (one `tenant` line per
-// tenant, same key=value idiom as the .ssg problem format).
+// The front end (tenant_service.hpp) keeps the tenants in a fixed table:
+// registration beyond `max_tenants` is refused, and requests naming an
+// unknown tenant either auto-register it with the default config or fail,
+// depending on policy. Tenant configs can be loaded from a text file (one
+// `tenant` line per tenant, same key=value idiom as the .ssg problem
+// format).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,7 +25,6 @@
 
 #include "core/error.hpp"
 #include "core/metrics.hpp"
-#include "core/sync.hpp"
 #include "core/time.hpp"
 
 namespace ss::tenant {
@@ -39,66 +41,56 @@ struct TenantConfig {
   std::size_t queue_capacity = 64;
 };
 
-/// Classic token bucket over the virtual-microsecond clock. Not internally
-/// synchronized: callers serialize access per tenant (the registry's
-/// per-tenant mutex does this).
+/// Token bucket over the virtual-microsecond clock, kept as one number in
+/// the GCRA form: the time its next token falls due. A bucket of `burst`
+/// tokens that refills one token per `interval` holds a token at `now`
+/// exactly when `now >= due`; taking it moves `due` one interval on, from
+/// no earlier than `now - (burst - 1) * interval` (a full bucket). Thread
+/// safe: one compare-and-swap per admitted request.
 class TokenBucket {
  public:
-  TokenBucket() = default;
   TokenBucket(double rate_per_sec, double burst, Tick now)
-      : rate_per_sec_(rate_per_sec),
-        burst_(burst < 1.0 ? 1.0 : burst),
-        tokens_(burst_),
-        last_refill_(now) {}
-
-  bool unlimited() const { return rate_per_sec_ <= 0.0; }
+      : interval_(rate_per_sec > 0.0 ? 1e6 / rate_per_sec : 0.0),
+        full_lead_(((burst < 1.0 ? 1.0 : burst) - 1.0) * interval_),
+        due_(static_cast<double>(now) - full_lead_) {}
 
   /// Admits one request if a token is available at `now`.
   bool TryAcquire(Tick now) {
-    if (unlimited()) return true;
-    Refill(now);
-    if (tokens_ < 1.0) return false;
-    tokens_ -= 1.0;
+    if (interval_ == 0.0) return true;  // no rate limit
+    const double t = static_cast<double>(now);
+    double due = due_.load(std::memory_order_relaxed);
+    do {
+      if (t < due) return false;
+    } while (!due_.compare_exchange_weak(
+        due, std::max(due, t - full_lead_) + interval_,
+        std::memory_order_relaxed));
     return true;
   }
 
-  double available(Tick now) {
-    if (unlimited()) return burst_;
-    Refill(now);
-    return tokens_;
-  }
-
  private:
-  void Refill(Tick now) {
-    if (now <= last_refill_) return;
-    tokens_ += ticks::ToSeconds(now - last_refill_) * rate_per_sec_;
-    if (tokens_ > burst_) tokens_ = burst_;
-    last_refill_ = now;
-  }
-
-  double rate_per_sec_ = 0.0;
-  double burst_ = 1.0;
-  double tokens_ = 1.0;
-  Tick last_refill_ = 0;
+  /// Microseconds per token; 0 when the rate is unlimited.
+  const double interval_;
+  /// How far a full bucket's next token lies in the past.
+  const double full_lead_;
+  std::atomic<double> due_;
 };
 
-/// Everything the front end tracks about one tenant. The mutex guards the
-/// token bucket; the counters are handles into the front end's metrics
-/// registry, registered with the tenant and labelled with its name
-/// (incremented from dispatcher threads and the submit path concurrently).
+/// Everything the front end tracks about one tenant. The counters are
+/// handles into the front end's metrics registry, registered with the
+/// tenant and labelled with its name (incremented from dispatcher threads
+/// and the submit path concurrently).
 struct TenantState {
-  TenantState(TenantConfig config_in, int index_in, Tick now,
+  TenantState(TenantConfig config_in, int lane_in, Tick now,
               std::shared_ptr<MetricsRegistry> metrics_in);
 
   const TenantConfig config;
-  /// Dense index assigned at registration; keys the fair scheduler.
-  const int index;
+  /// The fair-queue lane FairScheduler::AddTenant returned for it.
+  const int lane;
   /// Owns the counters below: a completion can hold this state after the
   /// front end that registered it is gone.
   const std::shared_ptr<MetricsRegistry> metrics;
 
-  Mutex bucket_mu;
-  TokenBucket bucket SS_GUARDED_BY(bucket_mu);
+  TokenBucket bucket;
 
   Counter& admitted;
   Counter& rejected_rate_limited;
@@ -117,9 +109,9 @@ struct TenantState {
   LatencyHistogram& latency;
 };
 
-/// Longest tenant name the registry accepts, in bytes. A tenant's name
+/// Longest tenant name registration accepts, in bytes. A tenant's name
 /// labels each of its rows in every STATS response, so the bound is what
-/// keeps a registry of 1,024 tenants inside one frame.
+/// keeps a table of 1,024 tenants inside one frame.
 inline constexpr std::size_t kMaxTenantNameBytes = 32;
 
 struct RegistryOptions {
@@ -130,37 +122,6 @@ struct RegistryOptions {
   /// with kNotFound.
   bool auto_register = true;
   TenantConfig default_config;
-};
-
-class TenantRegistry {
- public:
-  explicit TenantRegistry(RegistryOptions options = {});
-
-  TenantRegistry(const TenantRegistry&) = delete;
-  TenantRegistry& operator=(const TenantRegistry&) = delete;
-
-  /// Registers a tenant. Fails with kInvalidArgument (empty name, name
-  /// longer than kMaxTenantNameBytes, bad weight or queue capacity),
-  /// kAlreadyExists, or kFailedPrecondition (registry full).
-  Expected<std::shared_ptr<TenantState>> Register(TenantConfig config);
-
-  /// Finds a tenant, auto-registering when the policy allows. `created`
-  /// (when given) is set to whether this call registered it.
-  Expected<std::shared_ptr<TenantState>> Resolve(const std::string& name,
-                                                 bool* created = nullptr);
-
-  std::size_t size() const;
-  const RegistryOptions& options() const { return options_; }
-  /// Every registered tenant's rows, labelled tenant=<name>.
-  MetricsRegistry& metrics() const { return *metrics_; }
-
- private:
-  RegistryOptions options_;
-  const std::shared_ptr<MetricsRegistry> metrics_ =
-      std::make_shared<MetricsRegistry>();
-  mutable Mutex mu_;
-  std::vector<std::shared_ptr<TenantState>> tenants_
-      SS_GUARDED_BY(mu_);  // index order
 };
 
 /// Parses a tenant config file: '#' comments, blank lines, and

@@ -2,7 +2,7 @@
 //
 // TenantScheduler composes the three tenancy pieces in request order:
 //
-//   1. TenantRegistry   — resolve (or auto-register) the named tenant;
+//   1. tenant table     — find (or auto-register) the named tenant;
 //   2. admission        — the tenant's token bucket; a refusal is a typed
 //                         kAdmissionRejected, never a queue entry;
 //   3. cache fast path  — admitted requests probe the schedule cache
@@ -14,6 +14,12 @@
 //                         dispatched weighted-deficit-round-robin to threads
 //                         that run the solves (SolveOnCaller).
 //
+// The tenant table is a fixed array of `max_tenants` slots that is only
+// appended to: registration fills the next slot under a mutex only writers
+// take, and requests find their tenant with an acquire load of the count
+// and a scan of the published slots, so a cached SOLVE or LOOKUP takes no
+// lock here before the cache's own.
+//
 // Completion is a callback (possibly inline for hits and rejected
 // submissions never invoke it), so the network layer can run this from an
 // event loop without blocking. Per-tenant counters, lane depths and a
@@ -21,9 +27,11 @@
 // registry, labelled by tenant; the STATS verb reports them.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/metrics.hpp"
@@ -58,7 +66,9 @@ class TenantScheduler {
   TenantScheduler& operator=(const TenantScheduler&) = delete;
 
   /// Pre-registers a tenant with an explicit config (e.g. from a tenant
-  /// config file). Typed failures mirror TenantRegistry::Register.
+  /// config file). Fails with kInvalidArgument (empty name, name longer
+  /// than kMaxTenantNameBytes, bad weight or queue capacity),
+  /// kAlreadyExists, or kFailedPrecondition (table full).
   Status RegisterTenant(TenantConfig config);
 
   /// Admits and enqueues a solve for `tenant_name`. On any non-OK return
@@ -78,28 +88,39 @@ class TenantScheduler {
 
   /// Every tenant's rows (`tenant_*`, labelled tenant=<name>), registered
   /// with the tenant, in registration order.
-  const MetricsRegistry& metrics() const { return registry_.metrics(); }
-  std::size_t tenant_count() const { return registry_.size(); }
+  const MetricsRegistry& metrics() const { return *metrics_; }
+  std::size_t tenant_count() const {
+    return count_.load(std::memory_order_acquire);
+  }
 
   /// Stops dispatchers and fails queued jobs with kCancelled (their
   /// callbacks do run). Idempotent. Does not touch the ScheduleService.
   void Shutdown();
 
  private:
-  /// Resolves the tenant and guarantees its fair-queue lane exists.
-  Expected<std::shared_ptr<TenantState>> ResolveTenant(
-      const std::string& name);
-  /// Adds a just-registered tenant's lane and its `tenant_queued` row.
-  void AddLane(const TenantState& state) SS_REQUIRES(register_mu_);
+  using Slot = std::shared_ptr<TenantState>;
+
+  /// The published slot holding `name`, or nullptr. Takes no lock.
+  const Slot* Find(const std::string& name) const;
+  /// Finds the tenant, auto-registering it when the policy allows.
+  Expected<const Slot*> Resolve(const std::string& name);
+  Expected<const Slot*> Register(TenantConfig config)
+      SS_EXCLUDES(register_mu_);
 
   service::ScheduleService* service_;
-  TenantRegistry registry_;
+  const RegistryOptions options_;
   FairScheduler fair_;
-  /// Serializes registration so registry indexes and fair-queue lanes
-  /// stay aligned. Guards no fields directly: the invariant it protects
-  /// (registry index == fair-queue lane) spans two internally-synchronized
-  /// components.
+  const std::shared_ptr<MetricsRegistry> metrics_ =
+      std::make_shared<MetricsRegistry>();
+  /// Serializes registration; readers never take it.
   Mutex register_mu_;
+  /// `max_tenants` slots, never resized. A slot is written once, under
+  /// register_mu_, and published by the release store that moves count_
+  /// past it; it never changes after, so a reader that loads count_ with
+  /// acquire reads the slots below it holding no lock. That is why they
+  /// are not SS_GUARDED_BY.
+  std::vector<Slot> slots_;
+  std::atomic<std::size_t> count_{0};
 };
 
 }  // namespace ss::tenant

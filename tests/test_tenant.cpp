@@ -1,10 +1,11 @@
 // Tests for the multi-tenant front end: the streaming latency histogram,
-// token-bucket admission, tenant registry + config parsing, the weighted
+// token-bucket admission, tenant config parsing, the weighted
 // deficit-round-robin fair scheduler (including the weighted-share
 // convergence property under saturating load), and the TenantScheduler's
-// typed error surface over a real ScheduleService.
+// tenant table and typed error surface over a real ScheduleService.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -90,6 +91,63 @@ TEST(TokenBucket, ZeroRateIsUnlimited) {
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(bucket.TryAcquire(0));
 }
 
+/// Against a bucket that keeps its credit in whole microseconds: with an
+/// interval that is a whole number of microseconds, a request arriving
+/// exactly when a token falls due must get it.
+TEST(TokenBucket, MatchesTheExactBucketAtRefillBoundaries) {
+  const std::vector<std::int64_t> rates = {
+      1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 125, 200, 250, 400, 500,
+      1000, 2000, 4000, 5000, 10000, 1000000};
+  for (int trace = 0; trace < 2000; ++trace) {
+    Rng rng(static_cast<std::uint64_t>(trace));
+    const std::int64_t rate = rates[rng.NextBelow(rates.size())];
+    const std::int64_t burst = rng.NextInRange(1, 20);
+    const std::int64_t interval = 1000000 / rate;
+    TokenBucket bucket(static_cast<double>(rate), static_cast<double>(burst),
+                       /*now=*/0);
+    std::int64_t credit = burst * interval;
+    Tick now = 0;
+    for (int i = 0; i < 400; ++i) {
+      Tick gap = 0;
+      switch (rng.NextBelow(4)) {
+        case 0:
+          break;
+        case 1:
+          gap = rng.NextInRange(1, 99);
+          break;
+        case 2:
+          gap = rng.NextInRange(1, 99999);
+          break;
+        default:
+          gap = interval * rng.NextInRange(1, 3);
+          break;
+      }
+      now += gap;
+      credit = std::min(burst * interval, credit + gap);
+      const bool exact = credit >= interval;
+      if (exact) credit -= interval;
+      ASSERT_EQ(bucket.TryAcquire(now), exact)
+          << "trace " << trace << " request " << i << ": rate " << rate
+          << "/s, burst " << burst << ", t=" << now << " us";
+    }
+  }
+}
+
+TEST(TokenBucket, ConcurrentAcquiresTakeEachTokenOnce) {
+  TokenBucket bucket(/*rate_per_sec=*/1.0, /*burst=*/1000.0, /*now=*/0);
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        if (bucket.TryAcquire(0)) admitted.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(admitted.load(), 1000);
+}
+
 // ---- Tenant config parsing ----------------------------------------------
 
 TEST(TenantConfig, ParsesWeightsRatesAndQueues) {
@@ -138,69 +196,6 @@ TEST(TenantConfig, RejectsDuplicateAndMalformed) {
   const auto largest = ParseTenantConfig("tenant a queue=1048576\n");
   ASSERT_TRUE(largest.ok()) << largest.status().ToString();
   EXPECT_EQ((*largest)[0].queue_capacity, 1048576u);
-}
-
-// ---- TenantRegistry ------------------------------------------------------
-
-TEST(TenantRegistry, RegisterResolveAndTypedFailures) {
-  RegistryOptions options;
-  options.max_tenants = 2;
-  TenantRegistry registry(options);
-
-  TenantConfig a;
-  a.name = "a";
-  ASSERT_TRUE(registry.Register(a).ok());
-  EXPECT_EQ(registry.Register(a).status().code(),
-            StatusCode::kAlreadyExists);
-
-  bool created = false;
-  auto b = registry.Resolve("b", &created);  // auto-registers
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(created);
-  EXPECT_EQ((*b)->index, 1);
-  ASSERT_TRUE(registry.Resolve("b", &created).ok());
-  EXPECT_FALSE(created);
-
-  // A name over the length bound is refused, whether registered or
-  // resolved, before the capacity check.
-  TenantConfig long_name;
-  long_name.name = std::string(kMaxTenantNameBytes + 1, 'x');
-  EXPECT_EQ(registry.Register(long_name).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Resolve(long_name.name).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // A weight that is not a finite positive number is refused too.
-  TenantConfig unbounded;
-  unbounded.name = "u";
-  for (const double weight : {std::numeric_limits<double>::infinity(),
-                              std::numeric_limits<double>::quiet_NaN()}) {
-    unbounded.weight = weight;
-    EXPECT_EQ(registry.Register(unbounded).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-
-  TenantConfig c;
-  c.name = "c";
-  EXPECT_EQ(registry.Register(c).status().code(),
-            StatusCode::kFailedPrecondition);  // registry full
-  EXPECT_EQ(registry.size(), 2u);
-
-  // Rows exist for registered tenants only: a refused one leaves none.
-  (*b)->admitted.Inc();
-  const MetricSnapshot snap = registry.metrics().Snapshot();
-  EXPECT_EQ(snap.Count("tenant_admitted"), 1u);
-  EXPECT_EQ(snap.Count("tenant_admitted", {{"tenant", "b"}}), 1u);
-  EXPECT_NE(snap.Find("tenant_weight", {{"tenant", "a"}}), nullptr);
-  EXPECT_EQ(snap.Find("tenant_weight", {{"tenant", "c"}}), nullptr);
-}
-
-TEST(TenantRegistry, ClosedRegistryRejectsUnknown) {
-  RegistryOptions options;
-  options.auto_register = false;
-  TenantRegistry registry(options);
-  EXPECT_EQ(registry.Resolve("ghost").status().code(),
-            StatusCode::kNotFound);
 }
 
 // ---- FairScheduler -------------------------------------------------------
@@ -361,6 +356,44 @@ TEST(FairScheduler, IdleLaneForfeitsDeficit) {
   fair.Shutdown();
 }
 
+/// A lane needs about 1 / weight passes of credit to afford one job; the
+/// passes in which no lane can afford one are credited at once, so a tiny
+/// weight costs no more than weight 1.
+TEST(FairScheduler, TinyWeightLaneDispatchesPromptly) {
+  for (const double weight : {1e-9, 1e-300}) {
+    FairScheduler fair(Paused());
+    const int lane = fair.AddTenant(weight, 1);
+    int dispatched = 0;
+    ASSERT_TRUE(fair.Submit(lane, [&](FairOutcome o) {
+                       dispatched += o == FairOutcome::kDispatched;
+                     }).ok());
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(fair.DispatchOne());
+    ASSERT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1))
+        << "weight " << weight;
+    EXPECT_EQ(dispatched, 1);
+    fair.Shutdown();
+  }
+  // A subnormal weight, whose 1 / weight overflows, is credited one job,
+  // not an unbounded deficit that lets it jump a weight-1 lane's queue.
+  FairScheduler fair(Paused());
+  const int tiny =
+      fair.AddTenant(std::numeric_limits<double>::denorm_min(), 2);
+  const int one = fair.AddTenant(1.0, 1);
+  std::vector<int> order;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(
+        fair.Submit(tiny, [&](FairOutcome) { order.push_back(tiny); }).ok());
+  }
+  ASSERT_TRUE(fair.DispatchOne());
+  ASSERT_TRUE(
+      fair.Submit(one, [&](FairOutcome) { order.push_back(one); }).ok());
+  ASSERT_TRUE(fair.DispatchOne());
+  EXPECT_EQ(order, (std::vector<int>{tiny, one}));
+  fair.Shutdown();
+}
+
 // ---- TenantScheduler over a real service ---------------------------------
 
 std::shared_ptr<graph::ProblemSpec> SmallProblem(int salt) {
@@ -383,6 +416,143 @@ service::SolveRequest RequestFor(std::shared_ptr<graph::ProblemSpec> spec) {
   request.problem = std::move(spec);
   request.regime = RegimeId(0);
   return request;
+}
+
+TEST(TenantRegistry, RegisterResolveAndTypedFailures) {
+  service::ScheduleService service{service::ServiceOptions{}};
+  TenantSchedulerOptions options;
+  options.registry.max_tenants = 2;
+  options.dispatch_threads = 0;
+  TenantScheduler tenants(&service, options);
+
+  TenantConfig a;
+  a.name = "a";
+  ASSERT_TRUE(tenants.RegisterTenant(a).ok());
+  EXPECT_EQ(tenants.RegisterTenant(a).code(), StatusCode::kAlreadyExists);
+
+  // A request naming "b" registers it, once; a lookup miss is still a miss.
+  const service::SolveRequest request = RequestFor(SmallProblem(10));
+  for (int i = 0; i < 2; ++i) {
+    bool miss = false;
+    EXPECT_EQ(tenants.Lookup("b", request, &miss).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_TRUE(miss);
+    EXPECT_EQ(tenants.tenant_count(), 2u);
+  }
+  TenantConfig b;
+  b.name = "b";
+  EXPECT_EQ(tenants.RegisterTenant(b).code(), StatusCode::kAlreadyExists);
+
+  // A name over the length bound is refused, whether registered or
+  // resolved, before the capacity check.
+  TenantConfig long_name;
+  long_name.name = std::string(kMaxTenantNameBytes + 1, 'x');
+  EXPECT_EQ(tenants.RegisterTenant(long_name).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tenants.Lookup(long_name.name, request).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // So is a weight that is not a finite positive number, and a zero queue.
+  TenantConfig unbounded;
+  unbounded.name = "u";
+  for (const double weight : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    unbounded.weight = weight;
+    EXPECT_EQ(tenants.RegisterTenant(unbounded).code(),
+              StatusCode::kInvalidArgument);
+  }
+  TenantConfig no_queue;
+  no_queue.name = "q";
+  no_queue.queue_capacity = 0;
+  EXPECT_EQ(tenants.RegisterTenant(no_queue).code(),
+            StatusCode::kInvalidArgument);
+
+  TenantConfig c;
+  c.name = "c";
+  EXPECT_EQ(tenants.RegisterTenant(c).code(),
+            StatusCode::kFailedPrecondition);  // table full
+  EXPECT_EQ(tenants.Lookup("c", request).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(tenants.tenant_count(), 2u);
+
+  // Rows exist for registered tenants only: a refused one leaves none.
+  ASSERT_TRUE(tenants
+                  .SubmitSolve("b", request,
+                               [](Expected<service::SolveResult>, bool) {})
+                  .ok());
+  const MetricSnapshot snap = tenants.metrics().Snapshot();
+  EXPECT_EQ(snap.Count("tenant_admitted"), 1u);
+  EXPECT_EQ(snap.Count("tenant_admitted", {{"tenant", "b"}}), 1u);
+  EXPECT_DOUBLE_EQ(snap.Gauge("tenant_queued", {{"tenant", "b"}}), 1.0);
+  EXPECT_NE(snap.Find("tenant_weight", {{"tenant", "a"}}), nullptr);
+  EXPECT_EQ(snap.Find("tenant_weight", {{"tenant", "c"}}), nullptr);
+  EXPECT_EQ(snap.Find("tenant_queued", {{"tenant", "c"}}), nullptr);
+  tenants.Shutdown();
+}
+
+/// Many threads naming the same new tenants at once: each name is
+/// registered once, with one lane and one set of rows, while a reader
+/// snapshots the rows being added.
+TEST(TenantScheduler, ConcurrentResolvesPublishEachNameOnce) {
+  service::ScheduleService service{service::ServiceOptions{}};
+  TenantSchedulerOptions options;
+  options.dispatch_threads = 0;
+  TenantScheduler tenants(&service, options);
+  constexpr int kNames = 40;
+  std::vector<std::string> names;
+  for (int i = 0; i < kNames; ++i) {
+    std::string name = "tenant-";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
+  }
+  const service::SolveRequest request = RequestFor(SmallProblem(11));
+
+  std::atomic<bool> resolving{true};
+  std::atomic<int> misses{0};
+  std::thread reader([&] {
+    while (resolving.load()) {
+      // A tenant's rows are registered before its tenant_queued gauge.
+      const MetricSnapshot snap = tenants.metrics().Snapshot();
+      std::size_t weights = 0;
+      std::size_t queued = 0;
+      for (const MetricRow& row : snap.rows) {
+        weights += row.name == "tenant_weight";
+        queued += row.name == "tenant_queued";
+      }
+      EXPECT_LE(queued, weights);
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 400; ++i) {
+        bool miss = false;
+        const auto probe = tenants.Lookup(
+            names[static_cast<std::size_t>((i + 5 * t) % kNames)], request,
+            &miss);
+        if (!probe.ok() && miss) misses.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  resolving.store(false);
+  reader.join();
+
+  EXPECT_EQ(misses.load(), 8 * 400);
+  EXPECT_EQ(tenants.tenant_count(), static_cast<std::size_t>(kNames));
+  const MetricSnapshot snap = tenants.metrics().Snapshot();
+  for (const std::string& name : names) {
+    int weight_rows = 0;
+    int queued_rows = 0;
+    for (const MetricRow& row : snap.rows) {
+      if (row.labels != MetricLabels{{"tenant", name}}) continue;
+      weight_rows += row.name == "tenant_weight";
+      queued_rows += row.name == "tenant_queued";
+    }
+    EXPECT_EQ(weight_rows, 1) << name;
+    EXPECT_EQ(queued_rows, 1) << name;
+  }
+  tenants.Shutdown();
 }
 
 TEST(TenantScheduler, SolvesAndServesCacheHitsInline) {
